@@ -1,11 +1,13 @@
-"""Factorised spatio-temporal encoder.
+"""Factorised spatio-temporal encoder over a batch of clips.
 
 Spatial attention runs over the tokens sharing one temporal index (plus the
-shared class token, broadcast per index); the per-index class-token outputs
-then pass through temporal attention with their own class token and a
-learnable temporal position embedding. Blocks are pre-norm: LN -> sublayer ->
-residual. After the temporal stage the output vector takes a residual from
-the mean of the spatial class tokens and one final feed-forward block.
+clip's class token, broadcast per index), with every (clip, index) pair an
+independent row: [B*n_t, S+1, d]. The per-index class-token outputs then
+pass through temporal attention with their own class token and a learnable
+temporal position embedding, one row per clip: [B, n_t+1, d]. Blocks are
+pre-norm: LN -> sublayer -> residual. After the temporal stage each clip's
+output vector takes a residual from the mean of its spatial class tokens and
+one final feed-forward block, giving [B, d] features.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 from mcvv import tensor as T
 from mcvv.tensor import Tensor
-from mcvv.tubelet import TokenSequence
 
 INIT_STD = 0.02
 
@@ -76,41 +77,21 @@ class EncoderParams:
     final_ff: FeedForwardParams
 
 
-def _param(rng, shape, dtype, std=INIT_STD):
-    return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
-
-
-def _matrix(rng, shape, dtype):
-    """Fan-scaled (Glorot) weight draw; a fixed tiny std leaves a desk-scale
-    network input-insensitive within the step budgets used here."""
-    fan_in, fan_out = shape[-2], shape[-1]
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
-
-
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def _ones(shape, dtype):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-
 def init_attention_params(d: int, rng, dtype) -> AttentionParams:
     return AttentionParams(
-        ln_gain=_ones(d, dtype), ln_bias=_zeros(d, dtype),
-        wq=_matrix(rng, (d, d), dtype), bq=_zeros(d, dtype),
-        wk=_matrix(rng, (d, d), dtype), bk=_zeros(d, dtype),
-        wv=_matrix(rng, (d, d), dtype), bv=_zeros(d, dtype),
-        wo=_matrix(rng, (d, d), dtype), bo=_zeros(d, dtype),
+        ln_gain=T.init_ones(d, dtype), ln_bias=T.init_zeros(d, dtype),
+        wq=T.init_glorot(rng, (d, d), dtype), bq=T.init_zeros(d, dtype),
+        wk=T.init_glorot(rng, (d, d), dtype), bk=T.init_zeros(d, dtype),
+        wv=T.init_glorot(rng, (d, d), dtype), bv=T.init_zeros(d, dtype),
+        wo=T.init_glorot(rng, (d, d), dtype), bo=T.init_zeros(d, dtype),
     )
 
 
 def init_feed_forward_params(d: int, hidden: int, rng, dtype) -> FeedForwardParams:
     return FeedForwardParams(
-        ln_gain=_ones(d, dtype), ln_bias=_zeros(d, dtype),
-        w1=_matrix(rng, (d, hidden), dtype), b1=_zeros(hidden, dtype),
-        w2=_matrix(rng, (hidden, d), dtype), b2=_zeros(d, dtype),
+        ln_gain=T.init_ones(d, dtype), ln_bias=T.init_zeros(d, dtype),
+        w1=T.init_glorot(rng, (d, hidden), dtype), b1=T.init_zeros(hidden, dtype),
+        w2=T.init_glorot(rng, (hidden, d), dtype), b2=T.init_zeros(d, dtype),
     )
 
 
@@ -123,8 +104,8 @@ def init_encoder_params(cfg: EncoderConfig, n_t: int, rng, dtype=np.float32) -> 
     return EncoderParams(
         spatial=[init_layer_params(cfg, rng, dtype) for _ in range(cfg.n_sp)],
         temporal=[init_layer_params(cfg, rng, dtype) for _ in range(cfg.n_tp)],
-        temporal_cls=_param(rng, (cfg.d,), dtype),
-        temporal_pos=_param(rng, (n_t + 1, cfg.d), dtype),
+        temporal_cls=T.init_normal(rng, (cfg.d,), dtype, INIT_STD),
+        temporal_pos=T.init_normal(rng, (n_t + 1, cfg.d), dtype, INIT_STD),
         final_ff=init_feed_forward_params(cfg.d, cfg.mlp_hidden, rng, dtype),
     )
 
@@ -133,10 +114,9 @@ def init_encoder_params(cfg: EncoderConfig, n_t: int, rng, dtype=np.float32) -> 
 
 
 def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
-    """Pre-norm multi-head self-attention with residual; [n,d] or [b,n,d] input."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = T.reshape(x, (1,) + x.shape)
+    """Pre-norm multi-head self-attention with residual over [b, n, d] rows."""
+    if x.ndim != 3:
+        raise T.ShapeError(f"mhsa input must be [b, n, d], got shape {x.shape}")
     b, n, d = x.shape
     if d % heads != 0:
         raise T.ShapeError(f"model dim {d} not divisible by {heads} heads")
@@ -155,8 +135,7 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
     attn = T.softmax(scores, axis=-1)
     ctx = T.matmul(attn, v4)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
-    out = T.add(x, T.linear(ctx, params.wo, params.bo))
-    return T.reshape(out, (n, d)) if squeeze else out
+    return T.add(x, T.linear(ctx, params.wo, params.bo))
 
 
 def feed_forward(x: Tensor, params: FeedForwardParams) -> Tensor:
@@ -170,38 +149,42 @@ def transformer_layer(x: Tensor, layer: LayerParams, heads: int) -> Tensor:
     return feed_forward(mhsa(x, layer.attn, heads), layer.ff)
 
 
-def spatial_encode(seq: TokenSequence, cfg: EncoderConfig, params: EncoderParams) -> Tensor:
+def spatial_encode(tokens: Tensor, n_t: int, cfg: EncoderConfig,
+                   params: EncoderParams) -> Tensor:
     """Per-temporal-index attention over that index's spatial tokens plus the
-    shared class token; returns the n_t class-token outputs, one per index."""
-    n_t, n_spatial = seq.n_t, seq.n_spatial
-    d = seq.tokens.shape[-1]
-    cls = T.reshape(seq.tokens[0:1, :], (1, 1, d))
-    cls = T.repeat(cls, n_t, axis=0)                              # [n_t, 1, d]
-    rest = T.reshape(seq.tokens[1:, :], (n_t, n_spatial, d))      # time-major layout
-    x = T.concat([cls, rest], axis=1)                             # [n_t, S+1, d]
+    clip's class token: [B, n_t*S+1, d] tokens run as [B*n_t, S+1, d] rows and
+    return the [B, n_t, d] class-token outputs, one per index."""
+    b, n, d = tokens.shape
+    if n_t < 1 or n < n_t + 1 or (n - 1) % n_t:
+        raise T.ShapeError(f"{n} tokens do not split into 1 + {n_t} x S")
+    n_spatial = (n - 1) // n_t
+    cls = T.repeat(T.reshape(tokens[:, 0:1, :], (b, 1, 1, d)), n_t, axis=1)
+    rest = T.reshape(tokens[:, 1:, :], (b, n_t, n_spatial, d))    # time-major layout
+    x = T.reshape(T.concat([cls, rest], axis=2), (b * n_t, n_spatial + 1, d))
     for layer in params.spatial:
         x = transformer_layer(x, layer, cfg.heads)
-    return x[:, 0, :]                                             # [n_t, d]
+    return T.reshape(x[:, 0, :], (b, n_t, d))
 
 
 def temporal_encode(steps: Tensor, cfg: EncoderConfig, params: EncoderParams) -> Tensor:
-    """Attend across temporal steps [n_t, d] behind a temporal class token."""
-    n_t, d = steps.shape
+    """Attend across temporal steps [B, n_t, d] behind a temporal class token;
+    returns its [B, d] output."""
+    b, n_t, d = steps.shape
     if params.temporal_pos.shape != (n_t + 1, d):
         raise T.ShapeError(f"temporal position embedding {params.temporal_pos.shape} "
                            f"does not fit {n_t} steps")
-    x = T.concat([T.reshape(params.temporal_cls, (1, d)), steps], axis=0)
-    x = T.add(x, params.temporal_pos)
+    cls = T.repeat(T.reshape(params.temporal_cls, (1, 1, d)), b, axis=0)
+    x = T.add(T.concat([cls, steps], axis=1), params.temporal_pos)
     for layer in params.temporal:
         x = transformer_layer(x, layer, cfg.heads)
-    return x[0, :]
+    return x[:, 0, :]
 
 
-def encoder_forward(seq: TokenSequence, cfg: EncoderConfig, params: EncoderParams) -> Tensor:
-    """Sequence-level feature: spatial stage, temporal stage, residual from the
+def encoder_forward(tokens: Tensor, n_t: int, cfg: EncoderConfig,
+                    params: EncoderParams) -> Tensor:
+    """[B, d] clip features: spatial stage, temporal stage, residual from the
     mean spatial class token, and a final feed-forward block."""
-    spatial_out = spatial_encode(seq, cfg, params)
+    spatial_out = spatial_encode(tokens, n_t, cfg, params)
     temporal_out = temporal_encode(spatial_out, cfg, params)
-    fused = T.add(temporal_out, T.tmean(spatial_out, axis=0))
-    out = feed_forward(T.reshape(fused, (1, cfg.d)), params.final_ff)
-    return T.reshape(out, (cfg.d,))
+    fused = T.add(temporal_out, T.tmean(spatial_out, axis=1))
+    return feed_forward(fused, params.final_ff)

@@ -2,9 +2,10 @@
 
 Four parallel linear branches fan out from a shared projection and their
 outputs concatenate back before the class logits; every stage is purely
-linear plus bias, with no activations in between. At the default feature
-width 64 the stage dims are 64 -> 16 -> [8,8,8,8] -> 32 -> num_class. The
-ablated variant skips the branches: 64 -> 16 -> num_class.
+linear plus bias, with no activations in between. Inputs are [B, feature_dim]
+rows, one per clip. At the default feature width 64 the stage dims are
+64 -> 16 -> [8,8,8,8] -> 32 -> num_class. The ablated variant skips the
+branches: 64 -> 16 -> num_class.
 """
 
 from __future__ import annotations
@@ -65,55 +66,38 @@ class AblatedParams:
         return self.out_w.shape[1]
 
 
-def _matrix(rng, shape, dtype):
-    fan_in, fan_out = shape
-    std = (2.0 / (fan_in + fan_out)) ** 0.5
-    return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
-
-
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
 def init_mc_params(feature_dim: int, num_class: int, rng, dtype=np.float32) -> MCParams:
     if feature_dim % (2 * BRANCH_COUNT) != 0:
         raise ValueError(f"feature_dim {feature_dim} must be divisible by {2 * BRANCH_COUNT}")
     hidden = feature_dim // 4
     branch = feature_dim // 8
     return MCParams(
-        fc1_w=_matrix(rng, (feature_dim, hidden), dtype), fc1_b=_zeros(hidden, dtype),
-        branch_w=[_matrix(rng, (hidden, branch), dtype) for _ in range(BRANCH_COUNT)],
-        branch_b=[_zeros(branch, dtype) for _ in range(BRANCH_COUNT)],
-        out_w=_matrix(rng, (BRANCH_COUNT * branch, num_class), dtype),
-        out_b=_zeros(num_class, dtype),
+        fc1_w=T.init_glorot(rng, (feature_dim, hidden), dtype),
+        fc1_b=T.init_zeros(hidden, dtype),
+        branch_w=[T.init_glorot(rng, (hidden, branch), dtype) for _ in range(BRANCH_COUNT)],
+        branch_b=[T.init_zeros(branch, dtype) for _ in range(BRANCH_COUNT)],
+        out_w=T.init_glorot(rng, (BRANCH_COUNT * branch, num_class), dtype),
+        out_b=T.init_zeros(num_class, dtype),
     )
 
 
 def init_ablated_params(feature_dim: int, num_class: int, rng, dtype=np.float32) -> AblatedParams:
     hidden = feature_dim // 4
     return AblatedParams(
-        fc1_w=_matrix(rng, (feature_dim, hidden), dtype), fc1_b=_zeros(hidden, dtype),
-        out_w=_matrix(rng, (hidden, num_class), dtype), out_b=_zeros(num_class, dtype),
+        fc1_w=T.init_glorot(rng, (feature_dim, hidden), dtype),
+        fc1_b=T.init_zeros(hidden, dtype),
+        out_w=T.init_glorot(rng, (hidden, num_class), dtype),
+        out_b=T.init_zeros(num_class, dtype),
     )
 
 
-def _promote(feature: Tensor) -> tuple[Tensor, bool]:
-    if feature.ndim == 1:
-        return T.reshape(feature, (1, feature.shape[0])), True
-    return feature, False
-
-
 def mc_features(feature: Tensor, params: MCParams) -> tuple[Tensor, Tensor]:
-    """Logits plus the concatenated branch embedding (branch i at dims
-    [i*branch_dim, (i+1)*branch_dim))."""
-    x, squeeze = _promote(feature)
-    x1 = T.linear(x, params.fc1_w, params.fc1_b)
+    """[B, feature_dim] -> logits [B, num_class] plus the concatenated branch
+    embedding [B, 4 * branch_dim], branch i at dims [i*branch_dim, (i+1)*branch_dim)."""
+    x1 = T.linear(feature, params.fc1_w, params.fc1_b)
     branches = [T.linear(x1, w, b) for w, b in zip(params.branch_w, params.branch_b)]
     cat = T.concat(branches, axis=-1)
-    logits = T.linear(cat, params.out_w, params.out_b)
-    if squeeze:
-        return T.reshape(logits, (params.num_class,)), T.reshape(cat, (params.embedding_dim,))
-    return logits, cat
+    return T.linear(cat, params.out_w, params.out_b), cat
 
 
 def mc_forward(feature: Tensor, params: MCParams) -> Tensor:
@@ -121,13 +105,10 @@ def mc_forward(feature: Tensor, params: MCParams) -> Tensor:
 
 
 def mc_ablated_features(feature: Tensor, params: AblatedParams) -> tuple[Tensor, Tensor]:
-    """Logits plus the pre-logit feature used as the embedding in this variant."""
-    x, squeeze = _promote(feature)
-    x1 = T.linear(x, params.fc1_w, params.fc1_b)
-    logits = T.linear(x1, params.out_w, params.out_b)
-    if squeeze:
-        return T.reshape(logits, (params.num_class,)), T.reshape(x1, (params.embedding_dim,))
-    return logits, x1
+    """[B, feature_dim] -> logits [B, num_class] plus the pre-logit feature
+    [B, hidden] used as the embedding in this variant."""
+    x1 = T.linear(feature, params.fc1_w, params.fc1_b)
+    return T.linear(x1, params.out_w, params.out_b), x1
 
 
 def mc_ablated_forward(feature: Tensor, params: AblatedParams) -> Tensor:

@@ -76,12 +76,13 @@ def update_confusion(state: AdCorreState, predicted, true) -> AdCorreState:
 @dataclass(frozen=True)
 class HPLossParams:
     fd_weight: float = 0.5          # lambda on the discriminator term
-    focal: FocalParams = field(default_factory=FocalParams)
-    k_feature_sets: int = 1
+    focal: FocalParams | None = field(default_factory=FocalParams)   # None: no focal term
 
     def __post_init__(self):
         if self.fd_weight < 0.0:
             raise ValueError(f"fd_weight must be >= 0, got {self.fd_weight}")
+        if self.focal is None and self.fd_weight == 0.0:
+            raise ValueError("loss has neither a focal term nor a discriminator weight")
 
 
 # -- focal term ---------------------------------------------------------------------
@@ -151,46 +152,38 @@ def correlation_matrix(embeddings: Tensor) -> Tensor:
     return T.add(T.mul(raw, Tensor(1.0 - eye)), Tensor(eye))
 
 
-def fd_loss(embeddings, labels, state: AdCorreState,
-            k_feature_sets: int | None = None) -> Tensor:
+def fd_loss(embeddings: Tensor, labels, state: AdCorreState) -> Tensor:
     """Weighted mean absolute gap between correlations and label targets:
-    sum of beta * Omega * |Phi - CORM| over all pairs (and feature sets),
-    normalized by k * n^2. Gradient flows through CORM only."""
-    sets = [embeddings] if isinstance(embeddings, Tensor) else list(embeddings)
-    if k_feature_sets is not None and k_feature_sets != len(sets):
-        raise ValueError(f"k_feature_sets={k_feature_sets} but {len(sets)} sets given")
-    k = len(sets)
+    sum of beta * Omega * |Phi - CORM| over all pairs, normalized by n^2.
+    Gradient flows through CORM only."""
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     if n < 2:
-        return Tensor(np.zeros((), dtype=sets[0].dtype))
+        return Tensor(np.zeros((), dtype=embeddings.dtype))
 
-    dtype = sets[0].dtype
+    dtype = embeddings.dtype
     weights = Tensor((beta_matrix(n) * attention_map(state, labels)).astype(dtype))
     phi = Tensor(harmony_matrix(labels).astype(dtype))
-    total = None
-    for emb in sets:
-        gap = T.tabs(T.sub(phi, correlation_matrix(emb)))
-        term = T.tsum(T.mul(weights, gap))
-        total = term if total is None else T.add(total, term)
-    return T.mul(total, 1.0 / (k * n * n))
+    gap = T.tabs(T.sub(phi, correlation_matrix(embeddings)))
+    return T.mul(T.tsum(T.mul(weights, gap)), 1.0 / (n * n))
 
 
 # -- combined loss ------------------------------------------------------------------------
 
 
-def hp_loss(logits: Tensor, labels, embeddings, state: AdCorreState,
+def hp_loss(logits: Tensor, labels, embeddings: Tensor, state: AdCorreState,
             params: HPLossParams, update_state: bool = True) -> Tensor:
-    """Focal term plus fd_weight times the discriminator; the confusion state
-    is advanced with this batch's argmax predictions only after the loss is
-    built, so the attention weights reflect previous batches."""
+    """Focal term (when params.focal is set) plus fd_weight times the
+    discriminator; the confusion state is advanced with this batch's argmax
+    predictions only after the loss is built, so the attention weights
+    reflect previous batches."""
     labels = np.asarray(labels, dtype=np.int64)
-    probs = T.softmax(logits, axis=-1)
-    p1 = probs[:, 1]
-    loss = focal_loss(p1, labels, params.focal)
+    loss = None
+    if params.focal is not None:
+        loss = focal_loss(T.softmax(logits, axis=-1)[:, 1], labels, params.focal)
     if params.fd_weight != 0.0:
-        fd = fd_loss(embeddings, labels, state, params.k_feature_sets)
-        loss = T.add(loss, T.mul(fd, params.fd_weight))
+        fd = T.mul(fd_loss(embeddings, labels, state), params.fd_weight)
+        loss = fd if loss is None else T.add(loss, fd)
     if update_state:
         update_confusion(state, np.argmax(logits.data, axis=-1), labels)
     return loss

@@ -1,14 +1,15 @@
 """Full classifier: cube embedding -> factorised encoder -> multi-branch head.
 
 Holds every learnable tensor behind stable dotted names (for the optimizer,
-checkpoints, and gradient verification) and exposes a per-clip forward that
-returns class logits plus the embedding feeding the discriminator loss.
+checkpoints, and gradient verification) and exposes a batched forward: B clips
+[B,T,H,W,C] -> class logits [B, num_class] plus the embeddings [B, E] feeding
+the discriminator loss, as one graph.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +59,9 @@ class Model:
         cube_dim = cfg.t * cfg.h * cfg.w * cfg.channels
 
         rng = np.random.default_rng(seed)
-        proj_std = (2.0 / (cube_dim + cfg.d)) ** 0.5
-        self.proj = Tensor(rng.normal(0, proj_std, (cube_dim, cfg.d)).astype(dtype),
-                           requires_grad=True)
-        self.cls_token = Tensor(rng.normal(0, E.INIT_STD, cfg.d).astype(dtype),
-                                requires_grad=True)
-        self.pos = Tensor(rng.normal(0, E.INIT_STD, (n_tokens + 1, cfg.d)).astype(dtype),
-                          requires_grad=True)
+        self.proj = T.init_glorot(rng, (cube_dim, cfg.d), dtype)
+        self.cls_token = T.init_normal(rng, cfg.d, dtype, E.INIT_STD)
+        self.pos = T.init_normal(rng, (n_tokens + 1, cfg.d), dtype, E.INIT_STD)
         self.encoder = E.init_encoder_params(self.encoder_cfg, self.counts[0], rng, dtype)
         if cfg.multi_branch:
             self.head = H.init_mc_params(cfg.d, cfg.num_class, rng, dtype)
@@ -73,66 +70,57 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def forward(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
-        """[T,H,W,C] frames -> (logits, discriminator embedding)."""
-        clip = np.asarray(frames, dtype=self.dtype)
-        cubes = TB.tubelet_partition(clip, self.tubelet_cfg)
-        seq = TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
-        feature = E.encoder_forward(seq, self.encoder_cfg, self.encoder)
+    def forward(self, clips) -> tuple[Tensor, Tensor]:
+        """B clips ([B,T,H,W,C], or a sequence of [T,H,W,C] clips) ->
+        (logits [B, num_class], discriminator embeddings [B, E])."""
+        cubes = TB.tubelet_partition(clips, self.tubelet_cfg, self.dtype)
+        tokens = TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
+        feature = E.encoder_forward(tokens, self.counts[0], self.encoder_cfg, self.encoder)
         if self.cfg.multi_branch:
             return H.mc_features(feature, self.head)
         return H.mc_ablated_features(feature, self.head)
 
-    def clip_probability(self, frames: np.ndarray) -> float:
-        """Probability of class 1 for one clip."""
-        logits, _ = self.forward(frames)
-        return float(T.softmax(logits, axis=-1).data[1])
+    def clip_probability(self, clips) -> np.ndarray:
+        """Probability of class 1 for each of B clips, as a [B] array."""
+        logits, _ = self.forward(clips)
+        return T.softmax(logits, axis=-1).data[:, 1]
 
     # -- parameter registry ------------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("embed.proj", self.proj), ("embed.cls", self.cls_token),
-               ("embed.pos", self.pos)]
-
-        def layer_entries(prefix, layer):
-            a, f = layer.attn, layer.ff
-            return [
-                (f"{prefix}.attn.ln_gain", a.ln_gain), (f"{prefix}.attn.ln_bias", a.ln_bias),
-                (f"{prefix}.attn.wq", a.wq), (f"{prefix}.attn.bq", a.bq),
-                (f"{prefix}.attn.wk", a.wk), (f"{prefix}.attn.bk", a.bk),
-                (f"{prefix}.attn.wv", a.wv), (f"{prefix}.attn.bv", a.bv),
-                (f"{prefix}.attn.wo", a.wo), (f"{prefix}.attn.bo", a.bo),
-                (f"{prefix}.ff.ln_gain", f.ln_gain), (f"{prefix}.ff.ln_bias", f.ln_bias),
-                (f"{prefix}.ff.w1", f.w1), (f"{prefix}.ff.b1", f.b1),
-                (f"{prefix}.ff.w2", f.w2), (f"{prefix}.ff.b2", f.b2),
-            ]
-
-        for i, layer in enumerate(self.encoder.spatial):
-            out += layer_entries(f"encoder.spatial{i}", layer)
-        for i, layer in enumerate(self.encoder.temporal):
-            out += layer_entries(f"encoder.temporal{i}", layer)
-        out += [("encoder.temporal_cls", self.encoder.temporal_cls),
-                ("encoder.temporal_pos", self.encoder.temporal_pos)]
-        f = self.encoder.final_ff
-        out += [("encoder.final_ff.ln_gain", f.ln_gain), ("encoder.final_ff.ln_bias", f.ln_bias),
-                ("encoder.final_ff.w1", f.w1), ("encoder.final_ff.b1", f.b1),
-                ("encoder.final_ff.w2", f.w2), ("encoder.final_ff.b2", f.b2)]
-
-        if self.cfg.multi_branch:
-            out += [("head.fc1_w", self.head.fc1_w), ("head.fc1_b", self.head.fc1_b)]
-            for i, (w, b) in enumerate(zip(self.head.branch_w, self.head.branch_b)):
-                out += [(f"head.branch{i}_w", w), (f"head.branch{i}_b", b)]
-            out += [("head.out_w", self.head.out_w), ("head.out_b", self.head.out_b)]
-        else:
-            out += [("head.fc1_w", self.head.fc1_w), ("head.fc1_b", self.head.fc1_b),
-                    ("head.out_w", self.head.out_w), ("head.out_b", self.head.out_b)]
-        return out
+        return ([("embed.proj", self.proj), ("embed.cls", self.cls_token),
+                 ("embed.pos", self.pos)]
+                + _named_tensors("encoder", self.encoder) + _named_tensors("head", self.head))
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
+
+
+def _named_tensors(prefix: str, params) -> list[tuple[str, Tensor]]:
+    """Every Tensor of a parameter dataclass with its dotted name, in field
+    order. A list field numbers its items after the field's stem: ``spatial``
+    gives ``spatial0``, ``branch_w`` gives ``branch0_w``. List fields sharing
+    a stem (``branch_w``, ``branch_b``) are walked together, item by item."""
+    if isinstance(params, Tensor):
+        return [(prefix, params)]
+    groups: dict[str, list[str]] = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        stem = f.name.partition("_")[0] if isinstance(value, list) else f.name
+        groups.setdefault(stem, []).append(f.name)
+    out = []
+    for stem, names in groups.items():
+        values = [getattr(params, name) for name in names]
+        if not isinstance(values[0], list):
+            out += _named_tensors(f"{prefix}.{stem}", values[0])
+            continue
+        for i, items in enumerate(zip(*values, strict=True)):
+            for name, item in zip(names, items):
+                out += _named_tensors(f"{prefix}.{stem}{i}{name[len(stem):]}", item)
+    return out
 
 
 # -- checkpoints -----------------------------------------------------------------------
@@ -201,14 +189,8 @@ def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
     params = L.HPLossParams()
 
     def f(_):
-        logit_rows, emb_rows = [], []
-        for clip in clips:
-            logits, emb = model.forward(clip)
-            logit_rows.append(T.reshape(logits, (1, cfg.num_class)))
-            emb_rows.append(T.reshape(emb, (1, emb.shape[0])))
-        logits_b = T.concat(logit_rows, axis=0)
-        emb_b = T.concat(emb_rows, axis=0)
-        return L.hp_loss(logits_b, labels, emb_b, state, params, update_state=False)
+        logits, emb = model.forward(clips)
+        return L.hp_loss(logits, labels, emb, state, params, update_state=False)
 
     err = T.gradcheck_multi_step(f, model.parameters(), steps=steps)
     return err, model.param_count()

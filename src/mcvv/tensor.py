@@ -541,6 +541,29 @@ def zero_grads(params: Sequence[Tensor]) -> None:
         p.grad = None
 
 
+# -- parameter initialisation ---------------------------------------------------------
+
+
+def init_normal(rng, shape, dtype, std: float) -> Tensor:
+    """Trainable leaf drawn from N(0, std^2)."""
+    return Tensor(rng.normal(0.0, std, size=shape).astype(dtype), requires_grad=True)
+
+
+def init_glorot(rng, shape, dtype) -> Tensor:
+    """Trainable weight with fan-scaled (Glorot) std over its last two axes; a
+    fixed tiny std leaves a desk-scale network input-insensitive within the
+    step budgets used here."""
+    return init_normal(rng, shape, dtype, (2.0 / (shape[-2] + shape[-1])) ** 0.5)
+
+
+def init_zeros(shape, dtype) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+
+
+def init_ones(shape, dtype) -> Tensor:
+    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+
+
 def _central_difference_errors(f, params: Sequence[Tensor], step: float) -> list[np.ndarray]:
     """Per-coordinate relative error of reverse-mode vs central differences."""
     params = list(params)

@@ -101,24 +101,11 @@ def cyclic_lr(step: int, base_lr: float, max_lr: float, cycle_len: int) -> float
 def batch_loss(model: Model, clips: list[np.ndarray], labels: np.ndarray,
                state: L.AdCorreState, cfg: TrainConfig):
     """Forward the batch and build the configured loss as one scalar graph."""
-    logit_rows, emb_rows = [], []
-    for clip in clips:
-        logits, emb = model.forward(clip)
-        logit_rows.append(T.reshape(logits, (1, logits.shape[0])))
-        emb_rows.append(T.reshape(emb, (1, emb.shape[0])))
-    logits_b = T.concat(logit_rows, axis=0)
-    emb_b = T.concat(emb_rows, axis=0)
-
-    focal = L.FocalParams(alpha=cfg.alpha, gamma=cfg.gamma)
-    if cfg.loss == "hp":
-        return L.hp_loss(logits_b, labels, emb_b, state,
-                         L.HPLossParams(fd_weight=cfg.fd_weight, focal=focal))
-    if cfg.loss == "focal":
-        return L.hp_loss(logits_b, labels, emb_b, state,
-                         L.HPLossParams(fd_weight=0.0, focal=focal))
-    fd = L.fd_loss(emb_b, labels, state)
-    L.update_confusion(state, np.argmax(logits_b.data, axis=-1), labels)
-    return fd
+    logits_b, emb_b = model.forward(clips)
+    focal = None if cfg.loss == "fd" else L.FocalParams(alpha=cfg.alpha, gamma=cfg.gamma)
+    fd_weight = {"hp": cfg.fd_weight, "focal": 0.0, "fd": 1.0}[cfg.loss]
+    return L.hp_loss(logits_b, labels, emb_b, state,
+                     L.HPLossParams(fd_weight=fd_weight, focal=focal))
 
 
 # -- fold training and evaluation --------------------------------------------------------
@@ -152,15 +139,11 @@ def evaluate_subjects(model: Model, cohort: Cohort,
     correct = total = 0
     for subject in subjects:
         idxs = cohort.clips_of(subject)
-        probs = []
-        for i in idxs:
-            p1 = model.clip_probability(cohort.frames(i))
-            probs.append(p1)
-            pred = int(p1 >= 0.5)
-            correct += int(pred == cohort.records[i].label)
-            total += 1
-        score, _ = M.aggregate_subject(probs)
-        scores[subject] = score
+        probs = model.clip_probability([cohort.frames(i) for i in idxs])
+        true = np.array([cohort.records[i].label for i in idxs])
+        correct += int(np.sum((probs >= 0.5) == true))
+        total += len(idxs)
+        scores[subject], _ = M.aggregate_subject(probs)
         labels[subject] = cohort.subject_label(subject)
     return scores, labels, correct, total
 

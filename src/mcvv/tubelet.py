@@ -1,7 +1,10 @@
-"""Cube tokenization: carve a clip into non-overlapping 3D cubes and embed them.
+"""Cube tokenization: carve each clip of a batch into non-overlapping 3D cubes
+and embed them.
 
-Token order is time-major: index = tau * n_h * n_w + row * n_w + col, with each
-cube flattened row-major over (t, h, w, C). Trailing frames/pixels that do not
+Shapes carry a leading batch axis: B clips [B,T,H,W,C] -> cubes [B, N, cube]
+-> tokens [B, N+1, d], with N = n_t * n_h * n_w. Token order within a clip is
+time-major: index = tau * n_h * n_w + row * n_w + col, with each cube
+flattened row-major over (t, h, w, C). Trailing frames/pixels that do not
 fill a whole cube are discarded.
 """
 
@@ -27,24 +30,6 @@ class TubeletConfig:
             raise ValueError(f"non-positive tubelet extent in {self}")
 
 
-@dataclass
-class TokenSequence:
-    tokens: Tensor              # [n_t*n_h*n_w + 1, d], class token at index 0
-    n_t: int
-    n_h: int
-    n_w: int
-
-    def __post_init__(self):
-        expected = self.n_t * self.n_h * self.n_w + 1
-        if self.tokens.shape[0] != expected:
-            raise T.ShapeError(f"token sequence length {self.tokens.shape[0]}, "
-                               f"expected {expected}")
-
-    @property
-    def n_spatial(self) -> int:
-        return self.n_h * self.n_w
-
-
 def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tuple[int, int, int]:
     n_t, n_h, n_w = frames // cfg.t, height // cfg.h, width // cfg.w
     if min(n_t, n_h, n_w) < 1:
@@ -53,32 +38,54 @@ def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tu
     return n_t, n_h, n_w
 
 
-def tubelet_partition(clip, cfg: TubeletConfig) -> Tensor:
-    """[T,H,W,C] clip -> [n_t*n_h*n_w, t*h*w*C] cube matrix (a constant leaf)."""
-    arr = clip.data if isinstance(clip, Tensor) else np.asarray(clip)
-    if arr.ndim != 4:
-        raise T.ShapeError(f"clip must be [T,H,W,C], got shape {arr.shape}")
-    frames, height, width, channels = arr.shape
+def tubelet_partition(clips, cfg: TubeletConfig, dtype=None) -> Tensor:
+    """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant leaf).
+
+    ``clips`` is a [B,T,H,W,C] array or a sequence of B equally shaped
+    [T,H,W,C] clips. Each clip's cubes are written straight into the output,
+    so a sequence is never stacked into one array first. The output dtype is
+    ``dtype``, or the clips' own when None.
+    """
+    if isinstance(clips, Tensor):
+        clips = clips.data
+    clips = [np.asarray(c) for c in clips]
+    shapes = {c.shape for c in clips}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 4:
+        raise T.ShapeError(f"clips must be B >= 1 clips of one shape [T,H,W,C], "
+                           f"got shapes {sorted(shapes)}")
+    frames, height, width, channels = clips[0].shape
     n_t, n_h, n_w = token_counts(cfg, frames, height, width)
-    region = arr[:n_t * cfg.t, :n_h * cfg.h, :n_w * cfg.w, :]
-    cubes = region.reshape(n_t, cfg.t, n_h, cfg.h, n_w, cfg.w, channels)
-    cubes = cubes.transpose(0, 2, 4, 1, 3, 5, 6)
-    flat = np.ascontiguousarray(cubes).reshape(n_t * n_h * n_w,
-                                               cfg.t * cfg.h * cfg.w * channels)
-    return Tensor(flat)
+    if dtype is None:
+        dtype = np.result_type(*clips)
+    out = np.empty((len(clips), n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels),
+                   dtype=dtype)
+    for clip, cubes in zip(clips, out):
+        region = clip[:n_t * cfg.t, :n_h * cfg.h, :n_w * cfg.w, :]
+        region = region.reshape(n_t, cfg.t, n_h, cfg.h, n_w, cfg.w, channels)
+        cubes.reshape(n_t, n_h, n_w, cfg.t, cfg.h, cfg.w, channels)[...] = \
+            region.transpose(0, 2, 4, 1, 3, 5, 6)
+    return Tensor(out)
 
 
 def embed(cubes: Tensor, proj: Tensor, cls_token: Tensor, pos: Tensor,
-          counts: tuple[int, int, int]) -> TokenSequence:
-    """Project cubes, prepend the class token, add the positional embedding."""
+          counts: tuple[int, int, int]) -> Tensor:
+    """[B, N, cube] cubes -> [B, N+1, d] tokens: project each cube, prepend
+    the class token, add the positional embedding."""
     n_t, n_h, n_w = counts
     n_tokens = n_t * n_h * n_w
     d = proj.shape[-1]
+    if cubes.ndim != 3 or cubes.shape[1] != n_tokens:
+        raise T.ShapeError(f"cubes shape {cubes.shape}, expected (B, {n_tokens}, cube)")
     if cls_token.shape != (d,):
         raise T.ShapeError(f"class token shape {cls_token.shape}, expected ({d},)")
     if pos.shape != (n_tokens + 1, d):
         raise T.ShapeError(f"positional embedding shape {pos.shape}, "
                            f"expected ({n_tokens + 1}, {d})")
-    projected = T.matmul(cubes, proj)
-    tokens = T.concat([T.reshape(cls_token, (1, d)), projected], axis=0)
-    return TokenSequence(tokens=T.add(tokens, pos), n_t=n_t, n_h=n_h, n_w=n_w)
+    b = cubes.shape[0]
+    # Project as one [B*N, cube] matrix: the weight gradient is then one GEMM,
+    # with no [B, cube, d] stack of per-clip products to sum.
+    flat = T.reshape(cubes, (b * n_tokens, cubes.shape[2]))
+    projected = T.reshape(T.matmul(flat, proj), (b, n_tokens, d))
+    cls = T.repeat(T.reshape(cls_token, (1, 1, d)), b, axis=0)
+    tokens = T.concat([cls, projected], axis=1)
+    return T.add(tokens, pos)

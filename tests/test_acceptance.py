@@ -104,7 +104,7 @@ def test_criterion_3_structural_invariants():
         channels = int(rng.integers(1, 4))
         clip = rng.random((frames, height, width, channels))
         n_t, n_h, n_w = TB.token_counts(cfg, frames, height, width)
-        flat = TB.tubelet_partition(clip, cfg).data
+        flat = TB.tubelet_partition(clip[None], cfg).data[0]
         # token count matches brute-force cube enumeration
         count = 0
         for _a in range(0, frames - cfg.t + 1, cfg.t):
@@ -122,14 +122,13 @@ def test_criterion_3_structural_invariants():
     enc_cfg = E.EncoderConfig(d=8, heads=2, n_sp=2, n_tp=1, mlp_hidden=16)
     params = E.init_encoder_params(enc_cfg, n_t=4, rng=rng, dtype=np.float64)
     tokens = rng.standard_normal((4 * 6 + 1, 8))
-    seq = TB.TokenSequence(Tensor(tokens), n_t=4, n_h=2, n_w=3)
-    base = E.spatial_encode(seq, enc_cfg, params).data
+    seq = Tensor(tokens[None])
+    base = E.spatial_encode(seq, 4, enc_cfg, params).data[0]
     for tau in range(4):
         mutated = tokens.copy()
         lo = 1 + tau * 6
         mutated[lo:lo + 6] += rng.standard_normal((6, 8))
-        out = E.spatial_encode(TB.TokenSequence(Tensor(mutated), 4, 2, 3),
-                               enc_cfg, params).data
+        out = E.spatial_encode(Tensor(mutated[None]), 4, enc_cfg, params).data[0]
         for row in range(4):
             if row == tau:
                 assert not np.allclose(out[row], base[row])
@@ -142,8 +141,9 @@ def test_criterion_3_structural_invariants():
         x = rng.standard_normal(64).astype(np.float32)
         y = rng.standard_normal(64).astype(np.float32)
         a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        lhs = H.mc_forward(Tensor(a * x + b * y), mc).data
-        rhs = a * H.mc_forward(Tensor(x), mc).data + b * H.mc_forward(Tensor(y), mc).data
+        lhs = H.mc_forward(Tensor((a * x + b * y)[None]), mc).data
+        rhs = (a * H.mc_forward(Tensor(x[None]), mc).data
+               + b * H.mc_forward(Tensor(y[None]), mc).data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     # correlation matrix: symmetric, unit diagonal, affine invariant, 1e-10

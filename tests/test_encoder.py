@@ -19,8 +19,7 @@ def small_cfg(**kw):
 
 def make_seq(rng, n_t=3, n_h=2, n_w=2, d=8, requires_grad=False):
     n = n_t * n_h * n_w + 1
-    tokens = Tensor(rng.standard_normal((n, d)), requires_grad=requires_grad)
-    return TB.TokenSequence(tokens=tokens, n_t=n_t, n_h=n_h, n_w=n_w)
+    return Tensor(rng.standard_normal((1, n, d)), requires_grad=requires_grad)
 
 
 def zero_sublayers(params: E.EncoderParams) -> None:
@@ -41,7 +40,7 @@ def test_mhsa_single_token_weight_is_one():
     rng = np.random.default_rng(0)
     cfg = small_cfg()
     p = E.init_attention_params(cfg.d, rng, np.float64)
-    x = Tensor(rng.standard_normal((1, cfg.d)))
+    x = Tensor(rng.standard_normal((1, 1, cfg.d)))
     out = E.mhsa(x, p, cfg.heads)
     # softmax over one element is exactly 1, so the context is just the value path
     h = (x.data - x.data.mean(-1, keepdims=True)) / np.sqrt(
@@ -58,8 +57,8 @@ def test_mhsa_permutation_equivariance():
     p = E.init_attention_params(cfg.d, rng, np.float64)
     x = rng.standard_normal((5, cfg.d))
     perm = rng.permutation(5)
-    out = E.mhsa(Tensor(x), p, cfg.heads)
-    out_perm = E.mhsa(Tensor(x[perm]), p, cfg.heads)
+    out = E.mhsa(Tensor(x[None]), p, cfg.heads)[0]
+    out_perm = E.mhsa(Tensor(x[perm][None]), p, cfg.heads)[0]
     np.testing.assert_allclose(out_perm.data, out.data[perm], rtol=1e-10)
 
 
@@ -67,7 +66,7 @@ def test_mhsa_gradient():
     rng = np.random.default_rng(2)
     cfg = small_cfg()
     p = E.init_attention_params(cfg.d, rng, np.float64)
-    x = Tensor(rng.standard_normal((4, cfg.d)))
+    x = Tensor(rng.standard_normal((1, 4, cfg.d)))
     w = rng.standard_normal((4, cfg.d))
     params = [p.wq, p.wk, p.wv, p.wo, p.ln_gain, p.bv]
 
@@ -85,7 +84,7 @@ def test_residual_identity_when_projections_zero():
         getattr(layer.attn, name).data[...] = 0.0
     for name in ("w1", "b1", "w2", "b2"):
         getattr(layer.ff, name).data[...] = 0.0
-    x = Tensor(rng.standard_normal((6, cfg.d)))
+    x = Tensor(rng.standard_normal((1, 6, cfg.d)))
     out = E.transformer_layer(x, layer, cfg.heads)
     np.testing.assert_array_equal(out.data, x.data)
 
@@ -98,7 +97,7 @@ def test_spatial_encode_shape_and_single_step():
     cfg = small_cfg()
     params = E.init_encoder_params(cfg, n_t=1, rng=rng, dtype=np.float64)
     seq = make_seq(rng, n_t=1, d=cfg.d)
-    out = E.spatial_encode(seq, cfg, params)
+    out = E.spatial_encode(seq, 1, cfg, params)[0]
     assert out.shape == (1, cfg.d)
 
 
@@ -108,9 +107,9 @@ def test_spatial_encode_zero_weights_passes_class_token():
     params = E.init_encoder_params(cfg, n_t=3, rng=rng, dtype=np.float64)
     zero_sublayers(params)
     seq = make_seq(rng, n_t=3, d=cfg.d)
-    out = E.spatial_encode(seq, cfg, params)
+    out = E.spatial_encode(seq, 3, cfg, params)[0]
     for tau in range(3):
-        np.testing.assert_array_equal(out.data[tau], seq.tokens.data[0])
+        np.testing.assert_array_equal(out.data[tau], seq.data[0, 0])
 
 
 def test_spatial_encode_per_index_independence():
@@ -118,14 +117,15 @@ def test_spatial_encode_per_index_independence():
     cfg = small_cfg(n_sp=2)
     params = E.init_encoder_params(cfg, n_t=3, rng=rng, dtype=np.float64)
     seq = make_seq(rng, n_t=3, d=cfg.d)
-    base = E.spatial_encode(seq, cfg, params).data.copy()
+    base = E.spatial_encode(seq, 3, cfg, params).data[0].copy()
 
     tau = 1
-    tokens2 = seq.tokens.data.copy()
-    lo = 1 + tau * seq.n_spatial
-    tokens2[lo:lo + seq.n_spatial] += rng.standard_normal((seq.n_spatial, cfg.d))
-    seq2 = TB.TokenSequence(Tensor(tokens2), seq.n_t, seq.n_h, seq.n_w)
-    changed = E.spatial_encode(seq2, cfg, params).data
+    n_spatial = 2 * 2     # make_seq's n_h * n_w
+    tokens2 = seq.data[0].copy()
+    lo = 1 + tau * n_spatial
+    tokens2[lo:lo + n_spatial] += rng.standard_normal((n_spatial, cfg.d))
+    seq2 = Tensor(tokens2[None])
+    changed = E.spatial_encode(seq2, 3, cfg, params).data[0]
 
     np.testing.assert_array_equal(changed[0], base[0])
     np.testing.assert_array_equal(changed[2], base[2])
@@ -140,8 +140,8 @@ def test_temporal_encode_order_sensitivity():
     cfg = small_cfg()
     params = E.init_encoder_params(cfg, n_t=4, rng=rng, dtype=np.float64)
     steps = rng.standard_normal((4, cfg.d))
-    fwd = E.temporal_encode(Tensor(steps), cfg, params)
-    rev = E.temporal_encode(Tensor(steps[::-1].copy()), cfg, params)
+    fwd = E.temporal_encode(Tensor(steps[None]), cfg, params)
+    rev = E.temporal_encode(Tensor(steps[::-1].copy()[None]), cfg, params)
     assert not np.allclose(fwd.data, rev.data)
 
 
@@ -150,7 +150,7 @@ def test_temporal_encode_wrong_step_count():
     cfg = small_cfg()
     params = E.init_encoder_params(cfg, n_t=4, rng=rng, dtype=np.float64)
     with pytest.raises(T.ShapeError):
-        E.temporal_encode(Tensor(rng.standard_normal((3, cfg.d))), cfg, params)
+        E.temporal_encode(Tensor(rng.standard_normal((1, 3, cfg.d))), cfg, params)
 
 
 def test_gradient_through_both_stages():
@@ -164,7 +164,7 @@ def test_gradient_through_both_stages():
              params.temporal_pos, params.final_ff.w2]
 
     def f(_):
-        return T.tsum(E.encoder_forward(seq, cfg, params) * Tensor(w))
+        return T.tsum(E.encoder_forward(seq, 2, cfg, params) * Tensor(w))
 
     assert T.gradcheck(f, probe, step=1e-5) < 1e-4
 
@@ -177,8 +177,8 @@ def test_encoder_forward_shape_and_determinism():
     cfg = small_cfg()
     params = E.init_encoder_params(cfg, n_t=3, rng=rng, dtype=np.float64)
     seq = make_seq(np.random.default_rng(11), n_t=3, d=cfg.d)
-    out1 = E.encoder_forward(seq, cfg, params)
-    out2 = E.encoder_forward(seq, cfg, params)
+    out1 = E.encoder_forward(seq, 3, cfg, params)[0]
+    out2 = E.encoder_forward(seq, 3, cfg, params)[0]
     assert out1.shape == (cfg.d,)
     np.testing.assert_array_equal(out1.data, out2.data)
 
@@ -190,7 +190,7 @@ def test_encoder_temporal_dim_variants_run():
     for n_t in (8, 4, 2):
         params = E.init_encoder_params(cfg, n_t=n_t, rng=rng, dtype=np.float64)
         seq = make_seq(rng, n_t=n_t, d=cfg.d)
-        assert E.encoder_forward(seq, cfg, params).shape == (cfg.d,)
+        assert E.encoder_forward(seq, n_t, cfg, params)[0].shape == (cfg.d,)
 
 
 def test_desk_scale_forward_backward_speed():
@@ -208,9 +208,9 @@ def test_desk_scale_forward_backward_speed():
                  requires_grad=True)
 
     start = time.perf_counter()
-    cubes = TB.tubelet_partition(clip, tub)
+    cubes = TB.tubelet_partition(clip[None], tub)
     seq = TB.embed(cubes, proj, cls_token, pos, counts)
-    out = E.encoder_forward(seq, cfg, params)
+    out = E.encoder_forward(seq, counts[0], cfg, params)
     T.backward(T.tsum(out * out))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"forward+backward took {elapsed:.2f}s"

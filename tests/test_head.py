@@ -28,13 +28,13 @@ def test_zero_weights_emit_output_bias(params):
     params.out_b.data[...] = [2.5, -1.0]
     rng = np.random.default_rng(1)
     for _ in range(5):
-        logits = H.mc_forward(Tensor(rng.standard_normal(64)), params)
+        logits = H.mc_forward(Tensor(rng.standard_normal(64)[None]), params)[0]
         np.testing.assert_array_equal(logits.data, [2.5, -1.0])
 
 
 def test_branch_permutation_symmetry(params):
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal(64))
+    x = Tensor(rng.standard_normal(64)[None])
     base = H.mc_forward(x, params).data.copy()
 
     perm = [2, 0, 3, 1]
@@ -50,7 +50,7 @@ def test_branch_permutation_symmetry(params):
 
 def test_no_dead_branch(params):
     rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal(64))
+    x = Tensor(rng.standard_normal(64)[None])
     readout = rng.standard_normal(2)
     logits = H.mc_forward(x, params)
     T.backward(T.tsum(logits * Tensor(readout)))
@@ -65,19 +65,19 @@ def test_linearity_at_zero_bias():
     x = rng.standard_normal(64).astype(np.float32)
     y = rng.standard_normal(64).astype(np.float32)
     a, b = 1.7, -0.4
-    lhs = H.mc_forward(Tensor(a * x + b * y), params).data
-    rhs = (a * H.mc_forward(Tensor(x), params).data
-           + b * H.mc_forward(Tensor(y), params).data)
+    lhs = H.mc_forward(Tensor((a * x + b * y)[None]), params).data
+    rhs = (a * H.mc_forward(Tensor(x[None]), params).data
+           + b * H.mc_forward(Tensor(y[None]), params).data)
     np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
 
 def test_concat_ordering_is_stable(params):
     rng = np.random.default_rng(6)
-    x = Tensor(rng.standard_normal(64))
+    x = Tensor(rng.standard_normal(64)[None])
     for i, (w, b) in enumerate(zip(params.branch_w, params.branch_b)):
         w.data[...] = 0.0
         b.data[...] = float(i + 1)
-    _, embedding = H.mc_features(x, params)
+    embedding = H.mc_features(x, params)[1][0]
     for i in range(4):
         np.testing.assert_array_equal(embedding.data[8 * i:8 * (i + 1)], np.full(8, i + 1.0))
 
@@ -88,7 +88,7 @@ def test_batched_forward_matches_loop(params):
     logits, cat = H.mc_features(Tensor(batch), params)
     assert logits.shape == (5, 2) and cat.shape == (5, 32)
     for i in range(5):
-        row = H.mc_forward(Tensor(batch[i]), params)
+        row = H.mc_forward(Tensor(batch[i][None]), params)[0]
         np.testing.assert_allclose(logits.data[i], row.data, rtol=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_ablated_shapes_and_param_count():
     rng = np.random.default_rng(8)
     mc = H.init_mc_params(64, 2, rng, dtype=np.float64)
     ab = H.init_ablated_params(64, 2, rng, dtype=np.float64)
-    logits = H.mc_ablated_forward(Tensor(rng.standard_normal(64)), ab)
+    logits = H.mc_ablated_forward(Tensor(rng.standard_normal(64)[None]), ab)[0]
     assert logits.shape == (2,)
     mc_total = H.param_count([mc.fc1_w, mc.fc1_b, mc.out_w, mc.out_b]
                              + mc.branch_w + mc.branch_b)
@@ -106,7 +106,7 @@ def test_ablated_shapes_and_param_count():
 
 def test_gradient_vs_central_differences(params):
     rng = np.random.default_rng(9)
-    x = Tensor(rng.standard_normal(64))
+    x = Tensor(rng.standard_normal(64)[None])
     readout = rng.standard_normal(2)
     probe = [params.fc1_w, params.branch_w[0], params.branch_w[3], params.out_w]
 

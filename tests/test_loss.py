@@ -238,18 +238,6 @@ def test_fd_monotone_as_correlations_approach_targets():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_fd_multiple_feature_sets():
-    rng = np.random.default_rng(11)
-    state = L.AdCorreState(num_class=2)
-    a, b = t64(rng.standard_normal((3, 8))), t64(rng.standard_normal((3, 8)))
-    labels = [0, 1, 1]
-    combined = L.fd_loss([a, b], labels, state, k_feature_sets=2).item()
-    separate = (L.fd_loss(a, labels, state).item() + L.fd_loss(b, labels, state).item())
-    assert combined == pytest.approx(separate / 2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        L.fd_loss([a, b], labels, state, k_feature_sets=1)
-
-
 def test_fd_gradient_only_through_correlations():
     rng = np.random.default_rng(12)
     emb = t64(rng.standard_normal((4, 8)), requires_grad=True)

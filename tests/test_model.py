@@ -5,6 +5,7 @@ import pytest
 
 from mcvv import model as MD
 from mcvv.model import Model, ModelConfig
+from mcvv.tensor import Tensor
 
 
 def tiny_cfg(**kw):
@@ -17,7 +18,7 @@ def tiny_cfg(**kw):
 def test_forward_shapes_mc():
     model = Model(tiny_cfg(), seed=0)
     clip = np.random.default_rng(1).random((8, 16, 16, 3)).astype(np.float32)
-    logits, emb = model.forward(clip)
+    logits, emb = [out[0] for out in model.forward(clip[None])]
     assert logits.shape == (2,)
     assert emb.shape == (model.head.embedding_dim,)
 
@@ -25,7 +26,7 @@ def test_forward_shapes_mc():
 def test_forward_shapes_nomc():
     model = Model(tiny_cfg(multi_branch=False), seed=0)
     clip = np.random.default_rng(1).random((8, 16, 16, 3)).astype(np.float32)
-    logits, emb = model.forward(clip)
+    logits, emb = [out[0] for out in model.forward(clip[None])]
     assert logits.shape == (2,)
     assert emb.shape == (model.head.embedding_dim,)
 
@@ -33,8 +34,8 @@ def test_forward_shapes_nomc():
 def test_forward_deterministic():
     model = Model(tiny_cfg(), seed=3)
     clip = np.random.default_rng(2).random((8, 16, 16, 3)).astype(np.float32)
-    a = model.forward(clip)[0].data
-    b = model.forward(clip)[0].data
+    a = model.forward(clip[None])[0].data
+    b = model.forward(clip[None])[0].data
     np.testing.assert_array_equal(a, b)
 
 
@@ -58,26 +59,26 @@ def test_temporal_dim_variants():
         model = Model(tiny_cfg(t=t), seed=0)
         assert model.counts[0] == n_t
         clip = np.random.default_rng(0).random((8, 16, 16, 3)).astype(np.float32)
-        assert model.forward(clip)[0].shape == (2,)
+        assert model.forward(clip[None])[0][0].shape == (2,)
 
 
 def test_clip_probability_range():
     model = Model(tiny_cfg(), seed=0)
     clip = np.random.default_rng(4).random((8, 16, 16, 3)).astype(np.float32)
-    p = model.clip_probability(clip)
+    p = model.clip_probability(clip[None])[0]
     assert 0.0 <= p <= 1.0
 
 
 def test_checkpoint_roundtrip(tmp_path):
     model = Model(tiny_cfg(), seed=7)
     clip = np.random.default_rng(5).random((8, 16, 16, 3)).astype(np.float32)
-    before = model.forward(clip)[0].data.copy()
+    before = model.forward(clip[None])[0].data.copy()
 
     MD.save_checkpoint(model, tmp_path)
     fresh = Model(tiny_cfg(), seed=99)
-    assert not np.allclose(fresh.forward(clip)[0].data, before)
+    assert not np.allclose(fresh.forward(clip[None])[0].data, before)
     MD.load_checkpoint(fresh, tmp_path)
-    np.testing.assert_array_equal(fresh.forward(clip)[0].data, before)
+    np.testing.assert_array_equal(fresh.forward(clip[None])[0].data, before)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -91,3 +92,67 @@ def test_checkpoint_shape_mismatch(tmp_path):
 def test_gradcheck_model_size():
     model = Model(MD.gradcheck_config(), seed=0, dtype=np.float64)
     assert model.param_count() <= 5000
+
+
+# -- parameter names and batching -----------------------------------------------------
+
+LAYER_LEAVES = [f"attn.{n}" for n in ("ln_gain", "ln_bias", "wq", "bq", "wk", "bk",
+                                      "wv", "bv", "wo", "bo")]
+FF_LEAVES = [f"ff.{n}" for n in ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2")]
+ENCODER_NAMES = ([f"encoder.{stage}{i}.{leaf}" for stage in ("spatial", "temporal")
+                  for i in range(2) for leaf in LAYER_LEAVES + FF_LEAVES]
+                 + ["encoder.temporal_cls", "encoder.temporal_pos"]
+                 + [f"encoder.final_{leaf}" for leaf in FF_LEAVES])
+# Checkpoint names as written by earlier releases, in their order.
+PINNED_NAMES = {
+    True: (["embed.proj", "embed.cls", "embed.pos"] + ENCODER_NAMES
+           + ["head.fc1_w", "head.fc1_b"]
+           + [f"head.branch{i}_{wb}" for i in range(4) for wb in "wb"]
+           + ["head.out_w", "head.out_b"]),
+    False: (["embed.proj", "embed.cls", "embed.pos"] + ENCODER_NAMES
+            + ["head.fc1_w", "head.fc1_b", "head.out_w", "head.out_b"]),
+}
+
+
+def _owned_tensors(obj) -> list:
+    """Every Tensor reachable through the model's own objects and lists."""
+    if isinstance(obj, Tensor):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [t for item in obj for t in _owned_tensors(item)]
+    if type(obj).__module__.startswith("mcvv") and hasattr(obj, "__dict__"):
+        return [t for value in vars(obj).values() for t in _owned_tensors(value)]
+    return []
+
+
+@pytest.mark.parametrize("multi_branch", [True, False])
+def test_named_parameters_pinned_and_complete(multi_branch):
+    model = Model(ModelConfig(multi_branch=multi_branch), seed=0)
+    named = model.named_parameters()
+    assert [n for n, _ in named] == PINNED_NAMES[multi_branch]
+    owned = _owned_tensors(model)
+    assert len({id(t) for t in owned}) == len(owned)
+    assert sorted(id(p) for _, p in named) == sorted(id(t) for t in owned)
+
+
+@pytest.mark.parametrize("multi_branch", [True, False])
+def test_batched_forward_matches_per_clip(multi_branch):
+    model = Model(ModelConfig(multi_branch=multi_branch), seed=0)
+    cfg = model.cfg
+    rng = np.random.default_rng(11)
+    clips = rng.random((4, cfg.clip_len, cfg.height, cfg.width, cfg.channels)).astype(np.float32)
+    logits, emb = model.forward(clips)
+    assert logits.shape == (4, cfg.num_class)
+    assert emb.shape == (4, model.head.embedding_dim)
+    for j, clip in enumerate(clips):
+        one_logits, one_emb = model.forward(clip[None])
+        np.testing.assert_allclose(logits.data[j], one_logits.data[0], rtol=0, atol=1e-5)
+        np.testing.assert_allclose(emb.data[j], one_emb.data[0], rtol=0, atol=1e-5)
+
+    j = 2
+    changed = clips.copy()
+    changed[j] = rng.random(changed[j].shape)
+    other = model.forward(changed)[0].data
+    keep = [i for i in range(len(clips)) if i != j]
+    np.testing.assert_array_equal(other[keep], logits.data[keep])
+    assert not np.allclose(other[j], logits.data[j])

@@ -58,8 +58,8 @@ def test_partition_reconstructs_covered_region():
                                w=int(rng.integers(1, width + 1)))
         clip = rng.random((frames, height, width, 3))
         counts = TB.token_counts(cfg, frames, height, width)
-        flat = TB.tubelet_partition(clip, cfg)
-        rebuilt = _unpartition(flat.data, cfg, counts, 3)
+        flat = TB.tubelet_partition(clip[None], cfg)
+        rebuilt = _unpartition(flat.data[0], cfg, counts, 3)
         n_t, n_h, n_w = counts
         np.testing.assert_array_equal(
             rebuilt, clip[:n_t * cfg.t, :n_h * cfg.h, :n_w * cfg.w, :])
@@ -67,14 +67,14 @@ def test_partition_reconstructs_covered_region():
 
 def test_partition_constant_clip():
     clip = np.full((8, 8, 8, 3), 0.7)
-    out = TB.tubelet_partition(clip, TB.TubeletConfig(t=2, h=4, w=4))
+    out = TB.tubelet_partition(clip[None], TB.TubeletConfig(t=2, h=4, w=4))
     assert (out.data == 0.7).all()
 
 
 def test_partition_single_cube_is_flattened_clip():
     rng = np.random.default_rng(2)
     clip = rng.random((4, 6, 5, 2))
-    out = TB.tubelet_partition(clip, TB.TubeletConfig(t=4, h=6, w=5))
+    out = TB.tubelet_partition(clip[None], TB.TubeletConfig(t=4, h=6, w=5))[0]
     assert out.shape == (1, 4 * 6 * 5 * 2)
     np.testing.assert_array_equal(out.data[0], clip.reshape(-1))
 
@@ -86,7 +86,7 @@ def test_partition_time_major_order():
     for k in range(frames):
         clip[k] = k
     cfg = TB.TubeletConfig(t=2, h=2, w=2)
-    out = TB.tubelet_partition(clip, cfg)   # n_t=3, n_h=2, n_w=2 -> 12 cubes
+    out = TB.tubelet_partition(clip[None], cfg)[0]   # n_t=3, n_h=2, n_w=2 -> 12 cubes
     # cubes 0..3 come from frames 0-1, cubes 4..7 from frames 2-3, ...
     for idx in range(12):
         tau = idx // 4
@@ -98,7 +98,7 @@ def _embed_setup(dtype=np.float64, requires_grad=False):
     cfg = TB.TubeletConfig(t=2, h=2, w=2, d=5)
     clip = rng.random((4, 4, 4, 3))
     counts = TB.token_counts(cfg, 4, 4, 4)
-    cubes = TB.tubelet_partition(clip.astype(dtype), cfg)
+    cubes = TB.tubelet_partition(clip.astype(dtype)[None], cfg)
     n = counts[0] * counts[1] * counts[2]
     proj = Tensor(rng.standard_normal((24, 5)).astype(dtype), requires_grad=requires_grad)
     cls_token = Tensor(rng.standard_normal(5).astype(dtype), requires_grad=requires_grad)
@@ -110,32 +110,32 @@ def test_embed_zero_projection_keeps_class_token():
     cfg, cubes, proj, cls_token, pos, counts = _embed_setup()
     zero_proj = Tensor(np.zeros_like(proj.data))
     zero_pos = Tensor(np.zeros_like(pos.data))
-    seq = TB.embed(cubes, zero_proj, cls_token, zero_pos, counts)
-    np.testing.assert_array_equal(seq.tokens.data[0], cls_token.data)
-    assert (seq.tokens.data[1:] == 0).all()
+    tokens = TB.embed(cubes, zero_proj, cls_token, zero_pos, counts)[0]
+    np.testing.assert_array_equal(tokens.data[0], cls_token.data)
+    assert (tokens.data[1:] == 0).all()
 
 
 def test_embed_recovers_positional_embedding_for_zero_cubes():
     cfg, cubes, proj, cls_token, pos, counts = _embed_setup()
     zero_cubes = Tensor(np.zeros_like(cubes.data))
-    seq = TB.embed(zero_cubes, proj, cls_token, pos, counts)
-    np.testing.assert_array_equal(seq.tokens.data[1:], pos.data[1:])
-    np.testing.assert_allclose(seq.tokens.data[0], cls_token.data + pos.data[0])
+    tokens = TB.embed(zero_cubes, proj, cls_token, pos, counts)[0]
+    np.testing.assert_array_equal(tokens.data[1:], pos.data[1:])
+    np.testing.assert_allclose(tokens.data[0], cls_token.data + pos.data[0])
 
 
 def test_embed_length_invariant():
     cfg, cubes, proj, cls_token, pos, counts = _embed_setup()
-    seq = TB.embed(cubes, proj, cls_token, pos, counts)
-    assert seq.tokens.shape == (counts[0] * counts[1] * counts[2] + 1, 5)
+    tokens = TB.embed(cubes, proj, cls_token, pos, counts)[0]
+    assert tokens.shape == (counts[0] * counts[1] * counts[2] + 1, 5)
 
 
 def test_embed_projection_gradient():
     cfg, cubes, proj, cls_token, pos, counts = _embed_setup(requires_grad=True)
     rng = np.random.default_rng(4)
-    readout = rng.standard_normal((cubes.shape[0] + 1, 5))
+    readout = rng.standard_normal((cubes.shape[1] + 1, 5))
 
     def f(params):
-        seq = TB.embed(cubes, params[0], params[1], params[2], counts)
-        return T.tsum(seq.tokens * Tensor(readout))
+        tokens = TB.embed(cubes, params[0], params[1], params[2], counts)[0]
+        return T.tsum(tokens * Tensor(readout))
 
     assert T.gradcheck(f, [proj, cls_token, pos], step=1e-5) < 1e-6

@@ -1,16 +1,14 @@
-"""Synthetic video cohorts and the preprocessing geometry around them.
+"""Synthetic video cohorts and the clip-level work around them.
 
-Covers face-window filtering by IoU, trimming, fixed-length segmentation,
-clip augmentation, subject-disjoint fold planning, and a generator for
-imbalanced synthetic cohorts where one class carries a planted oscillating
-patch. Clips live on disk as raw little-endian float32 tensors plus a CSV
-manifest.
+Covers clip augmentation, subject-disjoint fold planning, and a generator
+for imbalanced synthetic cohorts where one class carries a planted
+oscillating patch. Clips live on disk as raw little-endian float32 tensors
+plus a CSV manifest.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,16 +16,11 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-logger = logging.getLogger(__name__)
-
 LABEL_NC = 0
 LABEL_MCI = 1
 LABEL_NAMES = {LABEL_NC: "NC", LABEL_MCI: "MCI"}
 LABEL_IDS = {v: k for k, v in LABEL_NAMES.items()}
 
-IOU_KEEP_THRESHOLD = 0.05
-TRIM_HEAD_SECONDS = 180.0
-TRIM_TAIL_SECONDS = 150.0
 ROTATION_MAX_DEG = 15.0
 CROP_RATIO = 0.875
 
@@ -35,75 +28,6 @@ CROP_RATIO = 0.875
 SIGNATURE_CYCLES = 2.0
 
 TENSOR_FILE_MAGIC = b"MCVV"
-
-
-# -- bounding boxes and per-frame filtering ------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def __post_init__(self):
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError(f"degenerate box {(self.x0, self.y0, self.x1, self.y1)}")
-
-    @property
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area, in [0, 1]."""
-    ix = max(0.0, min(a.x1, b.x1) - max(a.x0, b.x0))
-    iy = max(0.0, min(a.y1, b.y1) - max(a.y0, b.y0))
-    inter = ix * iy
-    union = a.area + b.area - inter
-    return inter / union
-
-
-@dataclass(frozen=True)
-class FrameDecision:
-    keep: bool
-    index: int | None = None  # which box to keep, when keep is True
-
-
-def filter_frame(boxes: list[BoundingBox]) -> FrameDecision:
-    """Keep the larger of two face windows when they barely overlap.
-
-    Exactly two boxes are expected (two speakers); any other count makes the
-    frame unusable. Overlap at or above the IoU threshold drops the frame.
-    """
-    if len(boxes) != 2:
-        logger.warning("filter_frame: expected 2 boxes, got %d; dropping frame", len(boxes))
-        return FrameDecision(keep=False)
-    if iou(boxes[0], boxes[1]) < IOU_KEEP_THRESHOLD:
-        bigger = 0 if boxes[0].area >= boxes[1].area else 1
-        return FrameDecision(keep=True, index=bigger)
-    return FrameDecision(keep=False)
-
-
-# -- trimming and segmentation ---------------------------------------------------
-
-
-def trim_video(n_frames: int, fps: float) -> range:
-    """Frame index range left after dropping the lead-in and tail; may be empty."""
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
-    start = math.ceil(TRIM_HEAD_SECONDS * fps)
-    stop = n_frames - math.ceil(TRIM_TAIL_SECONDS * fps)
-    return range(start, stop)
-
-
-def segment_video(frames: np.ndarray, clip_len: int) -> list[np.ndarray]:
-    """Split into floor(N / L) consecutive non-overlapping clips; remainder dropped."""
-    if clip_len < 1:
-        raise ValueError(f"clip_len must be >= 1, got {clip_len}")
-    n = frames.shape[0] // clip_len
-    return [frames[i * clip_len:(i + 1) * clip_len] for i in range(n)]
 
 
 # -- augmentation -------------------------------------------------------------------
@@ -332,34 +256,29 @@ def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
 
 
 class Cohort:
-    """Manifest plus lazily cached clip frames."""
+    """Manifest plus a subject -> clip index built once; clip frames are
+    read from disk on every call, so each caller gets its own array."""
 
     def __init__(self, manifest_path: Path | str):
         self.manifest_path = Path(manifest_path)
         self.root = self.manifest_path.parent
         self.records = read_manifest(self.manifest_path)
-        self._cache: dict[int, np.ndarray] = {}
+        # Subjects in first-appearance order, each with its clips in record order.
+        self._clips_by_subject: dict[str, list[int]] = {}
+        for i, r in enumerate(self.records):
+            self._clips_by_subject.setdefault(r.subject_id, []).append(i)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def frames(self, index: int) -> np.ndarray:
-        if index not in self._cache:
-            rec = self.records[index]
-            self._cache[index] = read_tensor_file(self.root / rec.clip_path)
-        return self._cache[index]
+        return read_tensor_file(self.root / self.records[index].clip_path)
 
     def subject_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.subject_id, None)
-        return list(seen)
+        return list(self._clips_by_subject)
 
     def subject_label(self, subject_id: str) -> int:
-        for r in self.records:
-            if r.subject_id == subject_id:
-                return r.label
-        raise KeyError(subject_id)
+        return self.records[self._clips_by_subject[subject_id][0]].label
 
     def clips_of(self, subject_id: str) -> list[int]:
-        return [i for i, r in enumerate(self.records) if r.subject_id == subject_id]
+        return list(self._clips_by_subject.get(subject_id, ()))

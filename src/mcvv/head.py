@@ -30,10 +30,6 @@ class MCParams:
     out_b: Tensor
 
     @property
-    def feature_dim(self) -> int:
-        return self.fc1_w.shape[0]
-
-    @property
     def branch_dim(self) -> int:
         return self.branch_w[0].shape[1]
 
@@ -52,10 +48,6 @@ class AblatedParams:
     fc1_b: Tensor
     out_w: Tensor                      # [hidden, num_class]
     out_b: Tensor
-
-    @property
-    def feature_dim(self) -> int:
-        return self.fc1_w.shape[0]
 
     @property
     def embedding_dim(self) -> int:
@@ -100,20 +92,8 @@ def mc_features(feature: Tensor, params: MCParams) -> tuple[Tensor, Tensor]:
     return T.linear(cat, params.out_w, params.out_b), cat
 
 
-def mc_forward(feature: Tensor, params: MCParams) -> Tensor:
-    return mc_features(feature, params)[0]
-
-
 def mc_ablated_features(feature: Tensor, params: AblatedParams) -> tuple[Tensor, Tensor]:
     """[B, feature_dim] -> logits [B, num_class] plus the pre-logit feature
     [B, hidden] used as the embedding in this variant."""
     x1 = T.linear(feature, params.fc1_w, params.fc1_b)
     return T.linear(x1, params.out_w, params.out_b), x1
-
-
-def mc_ablated_forward(feature: Tensor, params: AblatedParams) -> Tensor:
-    return mc_ablated_features(feature, params)[0]
-
-
-def param_count(tensors) -> int:
-    return sum(t.size for t in tensors)

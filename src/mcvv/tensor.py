@@ -104,9 +104,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self._op})"
 
@@ -445,8 +442,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def grad_fn(g):
-        ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        # A constant operand (such as embed's cube matrix) gets no gradient,
+        # which spares the GEMM that would compute and discard it.
+        ga = gb = None
+        if a.requires_grad:
+            ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return Tensor._from_op(out_data, (a, b), grad_fn, "matmul")

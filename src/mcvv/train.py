@@ -9,7 +9,7 @@ reproduces its reports byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -161,7 +161,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     if not train_idx:
         raise ValueError(f"fold {fold_id}: empty training split")
 
-    model_cfg = _with_head(model_cfg, cfg.head)
+    model_cfg = replace(model_cfg, multi_branch=cfg.head == "mc")
     model = Model(model_cfg, seed=_substream(cfg.seed, fold_id, 0))
     shuffle_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 1))
     augment_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 2))
@@ -229,15 +229,6 @@ def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: TrainConfig) -> KFold
     pooled = M.compute_metrics(pooled_scores, pooled_labels,
                                clip_accuracy=correct / total if total else None)
     return KFoldResult(plan=plan, folds=folds, pooled=pooled)
-
-
-def _with_head(model_cfg: ModelConfig, head: str) -> ModelConfig:
-    multi = head == "mc"
-    if model_cfg.multi_branch == multi:
-        return model_cfg
-    kwargs = {f: getattr(model_cfg, f) for f in model_cfg.__dataclass_fields__}
-    kwargs["multi_branch"] = multi
-    return ModelConfig(**kwargs)
 
 
 def _substream(seed: int, fold_id: int, purpose: int) -> np.random.SeedSequence:

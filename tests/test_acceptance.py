@@ -141,9 +141,9 @@ def test_criterion_3_structural_invariants():
         x = rng.standard_normal(64).astype(np.float32)
         y = rng.standard_normal(64).astype(np.float32)
         a, b = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-        lhs = H.mc_forward(Tensor((a * x + b * y)[None]), mc).data
-        rhs = (a * H.mc_forward(Tensor(x[None]), mc).data
-               + b * H.mc_forward(Tensor(y[None]), mc).data)
+        lhs = H.mc_features(Tensor((a * x + b * y)[None]), mc)[0].data
+        rhs = (a * H.mc_features(Tensor(x[None]), mc)[0].data
+               + b * H.mc_features(Tensor(y[None]), mc)[0].data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     # correlation matrix: symmetric, unit diagonal, affine invariant, 1e-10

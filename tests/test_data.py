@@ -1,4 +1,4 @@
-"""Preprocessing geometry, augmentation, fold planning, and cohort generation."""
+"""Augmentation, fold planning, tensor files, and cohort generation and loading."""
 
 import numpy as np
 import pytest
@@ -6,95 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcvv import data as D
-
-
-# -- iou / filter_frame ----------------------------------------------------------
-
-
-def test_iou_identical():
-    b = D.BoundingBox(0, 0, 4, 4)
-    assert D.iou(b, b) == 1.0
-
-
-def test_iou_disjoint():
-    assert D.iou(D.BoundingBox(0, 0, 1, 1), D.BoundingBox(5, 5, 6, 6)) == 0.0
-
-
-def test_iou_hand_geometry():
-    a = D.BoundingBox(0, 0, 2, 2)
-    b = D.BoundingBox(1, 0, 3, 2)
-    assert D.iou(a, b) == pytest.approx(2 / 6)
-
-
-def test_degenerate_box_rejected():
-    with pytest.raises(ValueError):
-        D.BoundingBox(1, 0, 1, 2)
-
-
-def test_filter_keeps_bigger_of_disjoint():
-    small = D.BoundingBox(0, 0, 10, 10)      # area 100
-    big = D.BoundingBox(50, 50, 70, 70)      # area 400
-    decision = D.filter_frame([small, big])
-    assert decision.keep and decision.index == 1
-
-
-def test_filter_drops_high_overlap():
-    a = D.BoundingBox(0, 0, 2, 2)
-    b = D.BoundingBox(0, 0, 2, 3)            # iou = 4/6
-    assert not D.filter_frame([a, b]).keep
-
-
-def test_filter_boundary_is_strict():
-    # iou exactly 0.05: inter 1*1=1, union 20 -> boxes of area 10 and 11 overlapping by 1
-    a = D.BoundingBox(0, 0, 10, 1)
-    b = D.BoundingBox(9, 0, 20, 1)
-    assert D.iou(a, b) == pytest.approx(0.05)
-    assert not D.filter_frame([a, b]).keep
-
-
-def test_filter_wrong_count_drops_with_warning(caplog):
-    with caplog.at_level("WARNING"):
-        decision = D.filter_frame([D.BoundingBox(0, 0, 1, 1)])
-    assert not decision.keep
-    assert "expected 2 boxes" in caplog.text
-
-
-def test_filter_is_pure():
-    a = D.BoundingBox(0, 0, 3, 3)
-    b = D.BoundingBox(10, 10, 12, 12)
-    first = D.filter_frame([a, b])
-    assert all(D.filter_frame([a, b]) == first for _ in range(5))
-
-
-# -- trim / segment ------------------------------------------------------------------
-
-
-def test_trim_basic():
-    assert D.trim_video(5400, 10) == range(1800, 3900)
-
-
-def test_trim_fully_trimmed():
-    assert len(D.trim_video(3000, 10)) == 0
-
-
-def test_trim_high_fps():
-    assert D.trim_video(54000, 30) == range(5400, 49500)
-
-
-def test_segment_counts():
-    frames = np.zeros((100, 2, 2, 1), dtype=np.float32)
-    assert len(D.segment_video(frames, 16)) == 6
-    assert len(D.segment_video(frames[:16], 16)) == 1
-    assert len(D.segment_video(frames[:15], 16)) == 0
-
-
-@given(n=st.integers(0, 2000), length=st.integers(1, 64))
-@settings(max_examples=200, deadline=None)
-def test_segment_count_property(n, length):
-    frames = np.zeros((n, 1, 1, 1), dtype=np.float32)
-    clips = D.segment_video(frames, length)
-    assert len(clips) == n // length
-    assert all(c.shape[0] == length for c in clips)
 
 
 # -- augmentation ------------------------------------------------------------------------
@@ -294,6 +205,29 @@ def test_cohort_pixel_range_and_clip_len(tmp_path):
         frames = cohort.frames(i)
         assert frames.shape == (16, 16, 16, 3)
         assert frames.min() >= 0.0 and frames.max() <= 1.0
+
+
+def test_cohort_frames_reads_fresh_copy(tmp_path):
+    manifest = D.generate_synthetic_cohort(_tiny_spec(noise=0.1), tmp_path)
+    cohort = D.Cohort(manifest)
+    on_disk = D.read_tensor_file(tmp_path / cohort.records[0].clip_path)
+    cohort.frames(0)[...] = -1.0          # a caller edits its clip in place
+    np.testing.assert_array_equal(cohort.frames(0), on_disk)
+
+
+def test_cohort_subject_index_keeps_record_order(tmp_path):
+    rows = [("b", 0, "MCI"), ("a", 0, "NC"), ("b", 1, "MCI"), ("a", 1, "NC"), ("b", 2, "MCI")]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("subject_id,clip_path,label,clip_index\n" + "".join(
+        f"{s},clips/{s}_{k}.mcvv,{label},{k}\n" for s, k, label in rows))
+    cohort = D.Cohort(manifest)
+    assert len(cohort) == 5
+    assert cohort.subject_ids() == ["b", "a"]
+    assert cohort.clips_of("b") == [0, 2, 4] and cohort.clips_of("a") == [1, 3]
+    assert cohort.clips_of("missing") == []
+    assert cohort.subject_label("b") == D.LABEL_MCI and cohort.subject_label("a") == D.LABEL_NC
+    with pytest.raises(KeyError):
+        cohort.subject_label("missing")
 
 
 def test_cohort_spec_validation():

@@ -28,14 +28,14 @@ def test_zero_weights_emit_output_bias(params):
     params.out_b.data[...] = [2.5, -1.0]
     rng = np.random.default_rng(1)
     for _ in range(5):
-        logits = H.mc_forward(Tensor(rng.standard_normal(64)[None]), params)[0]
+        logits = H.mc_features(Tensor(rng.standard_normal(64)[None]), params)[0][0]
         np.testing.assert_array_equal(logits.data, [2.5, -1.0])
 
 
 def test_branch_permutation_symmetry(params):
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal(64)[None])
-    base = H.mc_forward(x, params).data.copy()
+    base = H.mc_features(x, params)[0].data.copy()
 
     perm = [2, 0, 3, 1]
     permuted = H.MCParams(
@@ -45,14 +45,14 @@ def test_branch_permutation_symmetry(params):
         out_w=Tensor(np.concatenate([params.out_w.data[8 * i:8 * (i + 1)] for i in perm])),
         out_b=params.out_b,
     )
-    np.testing.assert_allclose(H.mc_forward(x, permuted).data, base, rtol=1e-12)
+    np.testing.assert_allclose(H.mc_features(x, permuted)[0].data, base, rtol=1e-12)
 
 
 def test_no_dead_branch(params):
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal(64)[None])
     readout = rng.standard_normal(2)
-    logits = H.mc_forward(x, params)
+    logits = H.mc_features(x, params)[0]
     T.backward(T.tsum(logits * Tensor(readout)))
     for w in params.branch_w:
         assert np.abs(w.grad).max() > 0.0
@@ -65,9 +65,9 @@ def test_linearity_at_zero_bias():
     x = rng.standard_normal(64).astype(np.float32)
     y = rng.standard_normal(64).astype(np.float32)
     a, b = 1.7, -0.4
-    lhs = H.mc_forward(Tensor((a * x + b * y)[None]), params).data
-    rhs = (a * H.mc_forward(Tensor(x[None]), params).data
-           + b * H.mc_forward(Tensor(y[None]), params).data)
+    lhs = H.mc_features(Tensor((a * x + b * y)[None]), params)[0].data
+    rhs = (a * H.mc_features(Tensor(x[None]), params)[0].data
+           + b * H.mc_features(Tensor(y[None]), params)[0].data)
     np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
 
@@ -88,7 +88,7 @@ def test_batched_forward_matches_loop(params):
     logits, cat = H.mc_features(Tensor(batch), params)
     assert logits.shape == (5, 2) and cat.shape == (5, 32)
     for i in range(5):
-        row = H.mc_forward(Tensor(batch[i][None]), params)[0]
+        row = H.mc_features(Tensor(batch[i][None]), params)[0][0]
         np.testing.assert_allclose(logits.data[i], row.data, rtol=1e-12)
 
 
@@ -96,11 +96,11 @@ def test_ablated_shapes_and_param_count():
     rng = np.random.default_rng(8)
     mc = H.init_mc_params(64, 2, rng, dtype=np.float64)
     ab = H.init_ablated_params(64, 2, rng, dtype=np.float64)
-    logits = H.mc_ablated_forward(Tensor(rng.standard_normal(64)[None]), ab)[0]
+    logits = H.mc_ablated_features(Tensor(rng.standard_normal(64)[None]), ab)[0][0]
     assert logits.shape == (2,)
-    mc_total = H.param_count([mc.fc1_w, mc.fc1_b, mc.out_w, mc.out_b]
-                             + mc.branch_w + mc.branch_b)
-    ab_total = H.param_count([ab.fc1_w, ab.fc1_b, ab.out_w, ab.out_b])
+    mc_total = sum(p.size for p in [mc.fc1_w, mc.fc1_b, mc.out_w, mc.out_b]
+                   + mc.branch_w + mc.branch_b)
+    ab_total = sum(p.size for p in [ab.fc1_w, ab.fc1_b, ab.out_w, ab.out_b])
     assert ab_total < mc_total
 
 
@@ -111,6 +111,6 @@ def test_gradient_vs_central_differences(params):
     probe = [params.fc1_w, params.branch_w[0], params.branch_w[3], params.out_w]
 
     def f(_):
-        return T.tsum(H.mc_forward(x, params) * Tensor(readout))
+        return T.tsum(H.mc_features(x, params)[0] * Tensor(readout))
 
     assert T.gradcheck(f, probe, step=1e-5) < 1e-6

@@ -38,6 +38,21 @@ def test_matmul_grad_is_ones_times_bt():
     np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
 
+def test_matmul_constant_operand_gets_no_gradient():
+    # embed's shape: a constant [B, N, k] cube array times a [k, d] parameter
+    rng = np.random.default_rng(3)
+    a = t64(rng.standard_normal((2, 3, 4)))
+    b = t64(rng.standard_normal((4, 5)), requires_grad=True)
+    out = T.matmul(a, b)
+    ga, gb = out._grad_fn(np.ones(out.shape))
+    assert ga is None
+    T.backward(T.tsum(out))
+    expected = sum(a.data[i].T @ np.ones((3, 5)) for i in range(2))
+    np.testing.assert_allclose(gb, expected, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, expected, rtol=1e-12)
+    assert a.grad is None
+
+
 def test_matmul_grad_vs_central_differences():
     rng = np.random.default_rng(1)
     a = t64(rng.standard_normal((3, 4)), requires_grad=True)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 LABEL_NC = 0
 LABEL_MCI = 1
@@ -50,28 +49,84 @@ def sample_augment_params(rng: np.random.Generator) -> AugmentParams:
     )
 
 
-def apply_augment(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
-    """Apply one transform sample identically to every frame of a [L,H,W,C] clip."""
-    out = frames
-    if params.flip_h:
-        out = out[:, :, ::-1, :]
-    if params.flip_v:
-        out = out[:, ::-1, :, :]
-    if params.angle_deg != 0.0:
-        out = ndimage.rotate(out, params.angle_deg, axes=(1, 2),
-                             reshape=False, order=1, mode="nearest")
+def _crop_zoom_source(index: np.ndarray, extent: int) -> np.ndarray:
+    """Source index of output `index` after a centre crop of CROP_RATIO is
+    resized back to `extent`. Corner pixels map to corner pixels, which is
+    ndimage.zoom's default grid_mode=False convention; an extent of 1 stays
+    at index 0."""
+    size = max(1, round(extent * CROP_RATIO))
+    scale = (size - 1) / (extent - 1) if extent > 1 else 0.0
+    return index * scale + (extent - size) // 2
+
+
+def _bilinear_taps(height: int, width: int,
+                   params: AugmentParams) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source indices and bilinear weights, both [H*W, 4], of the map
+    that takes each output pixel through crop-resize, then rotation, then
+    the flips, back to the pixel it samples in the input frame.
+
+    Rotation turns about ((H-1)/2, (W-1)/2) by ndimage.rotate's matrix.
+    Source coordinates are clamped to the frame, which for linear
+    interpolation equals ndimage's mode="nearest"."""
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    cols = np.arange(width, dtype=np.float64)[None, :]
     if params.crop:
-        _, height, width, _ = out.shape
-        ch = max(1, round(height * CROP_RATIO))
-        cw = max(1, round(width * CROP_RATIO))
-        r0 = (height - ch) // 2
-        c0 = (width - cw) // 2
-        cropped = out[:, r0:r0 + ch, c0:c0 + cw, :]
-        out = ndimage.zoom(cropped, (1.0, height / ch, width / cw, 1.0),
-                           order=1, mode="nearest")
-        if out.shape != frames.shape:
-            raise RuntimeError(f"crop-resize produced {out.shape}, expected {frames.shape}")
-    return np.ascontiguousarray(out, dtype=frames.dtype)
+        rows = _crop_zoom_source(rows, height)
+        cols = _crop_zoom_source(cols, width)
+    if params.angle_deg != 0.0:
+        angle = math.radians(params.angle_deg)
+        cos, sin = math.cos(angle), math.sin(angle)
+        dr, dc = rows - (height - 1) / 2, cols - (width - 1) / 2
+        rows = cos * dr + sin * dc + (height - 1) / 2
+        cols = -sin * dr + cos * dc + (width - 1) / 2
+    if params.flip_v:
+        rows = (height - 1) - rows
+    if params.flip_h:
+        cols = (width - 1) - cols
+    rows = np.clip(np.broadcast_to(rows, (height, width)), 0, height - 1)
+    cols = np.clip(np.broadcast_to(cols, (height, width)), 0, width - 1)
+    r0, c0 = np.floor(rows), np.floor(cols)
+    fr, fc = rows - r0, cols - c0
+    r0, c0 = r0.astype(np.intp), c0.astype(np.intp)
+    # Clamped coordinates keep r0 <= H-1; at r0 == H-1 the weight fr is 0.
+    r1, c1 = np.minimum(r0 + 1, height - 1), np.minimum(c0 + 1, width - 1)
+    index = np.stack([r0 * width + c0, r0 * width + c1,
+                      r1 * width + c0, r1 * width + c1], axis=-1)
+    weight = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc,
+                       fr * (1 - fc), fr * fc], axis=-1)
+    return index.reshape(-1, 4), weight.reshape(-1, 4)
+
+
+def apply_augment(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
+    """Apply one transform sample identically to every frame of a [L,H,W,C] clip.
+
+    Flips alone are exact copies. A rotation or crop composes flips,
+    rotation and crop-resize into one map and samples the clip through it
+    with a single bilinear interpolation."""
+    if params.angle_deg == 0.0 and not params.crop:
+        out = frames
+        if params.flip_h:
+            out = out[:, :, ::-1, :]
+        if params.flip_v:
+            out = out[:, ::-1, :, :]
+        return np.ascontiguousarray(out, dtype=frames.dtype)
+    length, height, width, channels = frames.shape
+    # Allocated before the temporaries, so the clips a caller keeps do not
+    # land above freed temporaries in the heap; the other order raised a
+    # default-config training run's peak RSS by up to 9 MB.
+    out = np.empty(frames.shape, dtype=frames.dtype)
+    index, weight = _bilinear_taps(height, width, params)
+    # Pixel-major [H*W, L*C]: one gather row holds a pixel's values in every
+    # frame and channel, which all share that pixel's taps. The transposes
+    # move each pixel's C channels as one opaque item, at half the cost of
+    # moving them value by value.
+    pixel = np.dtype((np.void, channels * frames.itemsize))
+    pixels = np.ascontiguousarray(
+        np.ascontiguousarray(frames).reshape(length, -1).view(pixel).T).view(frames.dtype)
+    weight = weight.astype(np.promote_types(frames.dtype, np.float32))
+    sampled = np.einsum("pk,pkc->pc", weight, np.take(pixels, index, axis=0))
+    out.reshape(length, -1).view(pixel)[...] = sampled.view(pixel).T
+    return out
 
 
 def augment_clip(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -127,12 +182,10 @@ def read_tensor_file(path: Path | str) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         ndim = int(np.frombuffer(f.read(4), dtype="<u4")[0])
         shape = tuple(int(x) for x in np.frombuffer(f.read(4 * ndim), dtype="<u4"))
-        count = int(np.prod(shape)) if shape else 1
-        payload = f.read(4 * count)
-        if len(payload) != 4 * count:
+        data = np.empty(shape, dtype="<f4")
+        if f.readinto(data) != data.nbytes:
             raise ValueError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    return data.astype(np.float32)
+    return data.astype(np.float32, copy=False)   # a no-op on little-endian hosts
 
 
 # -- synthetic cohorts ------------------------------------------------------------------------

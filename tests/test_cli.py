@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcvv
 from mcvv import cli
 from mcvv.config import RunConfig, UsageError
 
@@ -138,3 +143,14 @@ def test_missing_dataset_is_usage_error(tmp_path):
     rc = cli.main(["kfold", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "r.json")])
     assert rc == cli.EXIT_USAGE
+
+
+def test_cli_import_does_not_load_scipy_ndimage():
+    # augmentation is plain numpy; loading scipy.ndimage would cost every
+    # command its import time
+    src = str(Path(mcvv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, mcvv.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,9 +1,12 @@
 """Augmentation, fold planning, tensor files, and cohort generation and loading."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage   # reference for the single-resample augmentation only
 
 from mcvv import data as D
 
@@ -61,6 +64,103 @@ def test_rotation_angle_within_bounds():
     for _ in range(50):
         p = D.sample_augment_params(rng)
         assert -15.0 <= p.angle_deg <= 15.0
+
+
+def test_sample_augment_params_pinned_per_seed():
+    # a seed must keep mapping to the same transforms: draw order is
+    # flip_h, flip_v, angle, crop
+    rng = np.random.default_rng(0)
+    assert [D.sample_augment_params(rng) for _ in range(3)] == [
+        D.AugmentParams(flip_h=False, flip_v=True, angle_deg=-13.77079428191416, crop=True),
+        D.AugmentParams(flip_h=False, flip_v=False, angle_deg=3.1990732730153972, crop=False),
+        D.AugmentParams(flip_h=False, flip_v=False, angle_deg=9.475606623645966, crop=True),
+    ]
+
+
+def _two_pass_reference(frames, params):
+    """Flips, then ndimage.rotate, then centre crop and ndimage.zoom: one
+    bilinear interpolation per geometric step."""
+    out = frames
+    if params.flip_h:
+        out = out[:, :, ::-1, :]
+    if params.flip_v:
+        out = out[:, ::-1, :, :]
+    if params.angle_deg != 0.0:
+        out = ndimage.rotate(out, params.angle_deg, axes=(1, 2),
+                             reshape=False, order=1, mode="nearest")
+    if params.crop:
+        _, height, width, _ = out.shape
+        ch = max(1, round(height * D.CROP_RATIO))
+        cw = max(1, round(width * D.CROP_RATIO))
+        r0, c0 = (height - ch) // 2, (width - cw) // 2
+        out = ndimage.zoom(out[:, r0:r0 + ch, c0:c0 + cw, :], (1.0, height / ch, width / cw, 1.0),
+                           order=1, mode="nearest")
+    return out
+
+
+def _smooth_clip(shape):
+    length, height, width, channels = shape
+    r = np.linspace(0.0, 1.0, height)[None, :, None, None]
+    c = np.linspace(0.0, 1.0, width)[None, None, :, None]
+    k = np.arange(length)[:, None, None, None]
+    ch = np.arange(channels)[None, None, None, :]
+    return (0.5 + 0.2 * np.sin(3 * r + 1 + 0.1 * k) * np.cos(2 * c + 0.3 * ch)).astype(np.float32)
+
+
+@pytest.fixture
+def big_clip():
+    return np.random.default_rng(2).random((16, 64, 64, 3)).astype(np.float32)
+
+
+@pytest.mark.parametrize("angle", [-15.0, -7.3, 0.4, 11.0, 15.0])
+def test_rotation_only_matches_ndimage_rotate(big_clip, angle):
+    out = D.apply_augment(big_clip, D.AugmentParams(angle_deg=angle))
+    ref = ndimage.rotate(big_clip, angle, axes=(1, 2), reshape=False, order=1, mode="nearest")
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("flip_h,flip_v", [(False, False), (True, False), (True, True)])
+def test_crop_only_matches_crop_then_zoom(big_clip, flip_h, flip_v):
+    params = D.AugmentParams(flip_h=flip_h, flip_v=flip_v, crop=True)
+    out = D.apply_augment(big_clip, params)
+    np.testing.assert_allclose(out, _two_pass_reference(big_clip, params), rtol=0, atol=1e-6)
+
+
+def test_combined_params_match_two_pass_on_smooth_clip():
+    # one interpolation instead of two blurs less, so pixel values move
+    # slightly; on a smooth clip the two stay close
+    clip = _smooth_clip((16, 64, 64, 3))
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        params = D.sample_augment_params(rng)
+        out = D.apply_augment(clip, params)
+        np.testing.assert_allclose(out, _two_pass_reference(clip, params), rtol=0, atol=5e-3,
+                                   err_msg=str(params))
+
+
+def test_constant_clip_stays_constant():
+    # nearest-edge fill: no border value leaks in
+    clip = np.full((4, 12, 10, 3), 0.7, dtype=np.float32)
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        out = D.augment_clip(clip, rng)
+        np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(4, 1, 8, 3), (4, 8, 1, 3), (4, 2, 2, 1)])
+def test_degenerate_extents_match_two_pass(shape):
+    # extents of 1 and 2: every source index stays in range and the map is
+    # the identity along an axis of extent 1
+    clip = np.random.default_rng(8).random(shape).astype(np.float32)
+    for params in (D.AugmentParams(crop=True), D.AugmentParams(angle_deg=12.0)):
+        out = D.apply_augment(clip, params)
+        assert out.shape == clip.shape
+        np.testing.assert_allclose(out, _two_pass_reference(clip, params), rtol=0, atol=1e-6,
+                                   err_msg=str(params))
+    smooth = _smooth_clip(shape)
+    params = D.AugmentParams(flip_h=True, flip_v=True, angle_deg=-12.0, crop=True)
+    np.testing.assert_allclose(D.apply_augment(smooth, params),
+                               _two_pass_reference(smooth, params), rtol=0, atol=5e-3)
 
 
 # -- fold planning ----------------------------------------------------------------------------
@@ -127,6 +227,14 @@ def test_tensor_file_bad_magic(tmp_path):
     path = tmp_path / "bad.mcvv"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
+        D.read_tensor_file(path)
+
+
+def test_tensor_file_truncated_payload(tmp_path):
+    path = tmp_path / "short.mcvv"
+    D.write_tensor_file(path, np.ones((2, 3), dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
         D.read_tensor_file(path)
 
 

@@ -100,16 +100,8 @@ def _bilinear_taps(height: int, width: int,
 def apply_augment(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
     """Apply one transform sample identically to every frame of a [L,H,W,C] clip.
 
-    Flips alone are exact copies. A rotation or crop composes flips,
-    rotation and crop-resize into one map and samples the clip through it
-    with a single bilinear interpolation."""
-    if params.angle_deg == 0.0 and not params.crop:
-        out = frames
-        if params.flip_h:
-            out = out[:, :, ::-1, :]
-        if params.flip_v:
-            out = out[:, ::-1, :, :]
-        return np.ascontiguousarray(out, dtype=frames.dtype)
+    Flips, rotation and crop-resize compose into one map, and the clip is
+    sampled through it with a single bilinear interpolation."""
     length, height, width, channels = frames.shape
     # Allocated before the temporaries, so the clips a caller keeps do not
     # land above freed temporaries in the heap; the other order raised a
@@ -117,15 +109,13 @@ def apply_augment(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
     out = np.empty(frames.shape, dtype=frames.dtype)
     index, weight = _bilinear_taps(height, width, params)
     # Pixel-major [H*W, L*C]: one gather row holds a pixel's values in every
-    # frame and channel, which all share that pixel's taps. The transposes
-    # move each pixel's C channels as one opaque item, at half the cost of
-    # moving them value by value.
-    pixel = np.dtype((np.void, channels * frames.itemsize))
+    # frame and channel, which all share that pixel's taps.
     pixels = np.ascontiguousarray(
-        np.ascontiguousarray(frames).reshape(length, -1).view(pixel).T).view(frames.dtype)
+        frames.reshape(length, height * width, channels).transpose(1, 0, 2)
+    ).reshape(height * width, length * channels)
     weight = weight.astype(np.promote_types(frames.dtype, np.float32))
     sampled = np.einsum("pk,pkc->pc", weight, np.take(pixels, index, axis=0))
-    out.reshape(length, -1).view(pixel)[...] = sampled.view(pixel).T
+    out[...] = sampled.reshape(height, width, length, channels).transpose(2, 0, 1, 3)
     return out
 
 

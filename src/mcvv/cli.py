@@ -21,7 +21,6 @@ import numpy as np
 from mcvv import train as TR
 from mcvv.config import RunConfig, UsageError
 from mcvv.data import Cohort, generate_synthetic_cohort, plan_folds
-from mcvv.metrics import compute_metrics
 from mcvv.model import Model, full_model_gradcheck, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -53,6 +52,11 @@ def _resolve_config(args) -> RunConfig:
                  for f in fields(RunConfig)
                  if getattr(args, f"cfg_{f.name}", None) is not None}
     cfg.apply(overrides)
+    try:
+        cfg.train_config().validate()
+        cfg.cohort_spec().validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
 
 
@@ -119,10 +123,7 @@ def cmd_eval(args) -> int:
     load_checkpoint(model, ckpt)
     scores, labels, correct, total = TR.evaluate_subjects(model, cohort,
                                                           cohort.subject_ids())
-    ordered = list(scores)
-    report = compute_metrics([scores[s] for s in ordered],
-                             [labels[s] for s in ordered],
-                             clip_accuracy=correct / total if total else None)
+    report = TR.subject_report(scores, labels, correct, total)
     payload = {"config": cfg.to_dict(), "report": report.to_dict()}
     out = Path(args.out)
     _write_json(out, payload)

@@ -63,10 +63,8 @@ class Model:
         self.cls_token = T.init_normal(rng, cfg.d, dtype, E.INIT_STD)
         self.pos = T.init_normal(rng, (n_tokens + 1, cfg.d), dtype, E.INIT_STD)
         self.encoder = E.init_encoder_params(self.encoder_cfg, self.counts[0], rng, dtype)
-        if cfg.multi_branch:
-            self.head = H.init_mc_params(cfg.d, cfg.num_class, rng, dtype)
-        else:
-            self.head = H.init_ablated_params(cfg.d, cfg.num_class, rng, dtype)
+        self.head = H.init_mc_params(cfg.d, cfg.num_class, rng, dtype,
+                                     multi_branch=cfg.multi_branch)
 
     # -- forward -------------------------------------------------------------------
 
@@ -76,9 +74,7 @@ class Model:
         cubes = TB.tubelet_partition(clips, self.tubelet_cfg, self.dtype)
         tokens = TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
         feature = E.encoder_forward(tokens, self.counts[0], self.encoder_cfg, self.encoder)
-        if self.cfg.multi_branch:
-            return H.mc_features(feature, self.head)
-        return H.mc_ablated_features(feature, self.head)
+        return H.mc_features(feature, self.head)
 
     def clip_probability(self, clips) -> np.ndarray:
         """Probability of class 1 for each of B clips, as a [B] array."""
@@ -177,7 +173,7 @@ def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
     """Max relative error of the end-to-end loss gradient vs central
     differences at float64, with the confusion state frozen. Returns
     (max_rel_err, parameter count). Uses a step ladder per coordinate; see
-    tensor.gradcheck_multi_step for why one step cannot fit a deep model."""
+    tensor.gradcheck for why one step cannot fit a deep model."""
     cfg = gradcheck_config()
     model = Model(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
@@ -192,5 +188,5 @@ def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
         logits, emb = model.forward(clips)
         return L.hp_loss(logits, labels, emb, state, params, update_state=False)
 
-    err = T.gradcheck_multi_step(f, model.parameters(), steps=steps)
+    err = T.gradcheck(f, model.parameters(), steps=steps)
     return err, model.param_count()

@@ -1,12 +1,14 @@
 """Dense tensors with reverse-mode differentiation.
 
-Small numpy-backed engine: each operation records its parents and a gradient
-closure; ``backward`` walks the graph once in reverse topological order and
-accumulates gradients additively across fan-out. Two dtypes are supported,
-float32 (training) and float64 (verification); binary operations require
-matching dtypes. The only implicit broadcast is over leading batch axes
-(the smaller operand must equal the trailing shape of the larger one) --
-anything else needs an explicit reshape/repeat.
+Small numpy-backed engine with one functional op API: every operation is a
+module function (``add``, ``matmul``, ``tsum``, ...), and ``Tensor`` carries
+no operator or method aliases beyond indexing. Each operation records its
+parents and a gradient closure; ``backward`` walks the graph once in reverse
+topological order and accumulates gradients additively across fan-out. Two
+dtypes are supported, float32 (training) and float64 (verification); binary
+operations require matching dtypes. The only implicit broadcast is over
+leading batch axes (the smaller operand must equal the trailing shape of the
+larger one) -- anything else needs an explicit reshape/repeat.
 
 Every operation checks its output for NaN/Inf and raises NonFiniteError
 naming the operation instead of letting bad values propagate.
@@ -107,61 +109,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, op={self._op})"
 
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def abs(self):
-        return tabs(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -230,21 +179,6 @@ def mul(a: Tensor, b) -> Tensor:
     return Tensor._from_op(out_data, (a, b), grad_fn, "mul")
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a.dtype)
-    _check_dtypes(a, b, "div")
-    _check_broadcast(a.shape, b.shape, "div")
-    with np.errstate(all="ignore"):
-        out_data = a.data / b.data
-
-    def grad_fn(g):
-        ga = _reduce_to(g / b.data, a.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return Tensor._from_op(out_data, (a, b), grad_fn, "div")
-
-
 def neg(a: Tensor) -> Tensor:
     return Tensor._from_op(-a.data, (a,), lambda g: (-g,), "neg")
 
@@ -270,26 +204,6 @@ def log(a: Tensor) -> Tensor:
         return (g / a.data,)
 
     return Tensor._from_op(out_data, (a,), grad_fn, "log")
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(all="ignore"):
-        out_data = np.exp(a.data)
-
-    def grad_fn(g):
-        return (g * out_data,)
-
-    return Tensor._from_op(out_data, (a,), grad_fn, "exp")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(all="ignore"):
-        out_data = np.sqrt(a.data)
-
-    def grad_fn(g):
-        return (g * 0.5 / out_data,)
-
-    return Tensor._from_op(out_data, (a,), grad_fn, "sqrt")
 
 
 def tabs(a: Tensor) -> Tensor:
@@ -566,51 +480,14 @@ def init_ones(shape, dtype) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
 
-def _central_difference_errors(f, params: Sequence[Tensor], step: float) -> list[np.ndarray]:
-    """Per-coordinate relative error of reverse-mode vs central differences."""
-    params = list(params)
-    zero_grads(params)
-    out = f(params)
-    backward(out)
-    analytic = [np.zeros_like(p.data) if p.grad is None else np.array(p.grad, copy=True)
-                for p in params]
-
-    errors = []
-    for p, ana in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        aflat = ana.reshape(-1)
-        errs = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = float(f(params).data)
-            flat[i] = orig - step
-            f_minus = float(f(params).data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            denom = max(abs(numeric), abs(float(aflat[i])), 1e-8)
-            errs[i] = abs(numeric - float(aflat[i])) / denom
-        errors.append(errs)
-    return errors
-
-
 def gradcheck(f: Callable[[Sequence[Tensor]], Tensor],
               params: Sequence[Tensor],
-              step: float = 1e-5) -> float:
+              steps: Sequence[float] = (1e-5,)) -> float:
     """Max relative error of reverse-mode gradients vs central differences.
 
     `f` must deterministically map the (mutated in place) params to a scalar
     Tensor. Relative error uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator.
-    """
-    return float(max(e.max(initial=0.0) for e in _central_difference_errors(f, params, step)))
-
-
-def gradcheck_multi_step(f: Callable[[Sequence[Tensor]], Tensor],
-                         params: Sequence[Tensor],
-                         steps: Sequence[float] = (5e-4, 5e-5, 5e-6)) -> float:
-    """gradcheck over a step ladder, scoring each coordinate by its best step.
-
+    denominator, and each coordinate is scored by its best step in `steps`.
     No single step suits every coordinate of a deep model: structurally-zero
     gradients (a key bias cancels inside softmax) need a large step so 1-ulp
     loss round-off stays under the denominator floor, while stiff coordinates
@@ -619,9 +496,25 @@ def gradcheck_multi_step(f: Callable[[Sequence[Tensor]], Tensor],
     measurement noise, never a real defect.
     """
     params = list(params)
-    best: list[np.ndarray] | None = None
-    for step in steps:
-        errs = _central_difference_errors(f, params, step)
-        best = errs if best is None else [np.minimum(b, e) for b, e in zip(best, errs)]
-    assert best is not None
-    return float(max(e.max(initial=0.0) for e in best))
+    zero_grads(params)
+    backward(f(params))
+    analytic = [np.zeros(p.size) if p.grad is None else p.grad.reshape(-1).copy()
+                for p in params]
+
+    worst = []
+    for p, aflat in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        errs = np.empty((len(steps), flat.size))
+        for i in range(flat.size):
+            orig = flat[i]
+            ana = float(aflat[i])
+            for k, step in enumerate(steps):
+                flat[i] = orig + step
+                f_plus = float(f(params).data)
+                flat[i] = orig - step
+                f_minus = float(f(params).data)
+                flat[i] = orig
+                numeric = (f_plus - f_minus) / (2.0 * step)
+                errs[k, i] = abs(numeric - ana) / max(abs(numeric), abs(ana), 1e-8)
+        worst.append(errs.min(axis=0).max(initial=0.0))
+    return float(max(worst))

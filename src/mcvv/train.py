@@ -148,6 +148,15 @@ def evaluate_subjects(model: Model, cohort: Cohort,
     return scores, labels, correct, total
 
 
+def subject_report(scores: dict, labels: dict, correct: int, total: int,
+                   fold: int | None = None) -> M.MetricsReport:
+    """Metrics over per-subject scores and labels, in the order of ``scores``,
+    with the clip accuracy ``correct / total``."""
+    ordered = list(scores)
+    return M.compute_metrics([scores[s] for s in ordered], [labels[s] for s in ordered],
+                             clip_accuracy=correct / total if total else None, fold=fold)
+
+
 def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
                model_cfg: ModelConfig, cfg: TrainConfig) -> FoldResult:
     cfg.validate()
@@ -201,11 +210,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
                 break
 
     scores, labels_by_subject, correct, total = evaluate_subjects(model, cohort, eval_subjects)
-    ordered = list(scores)
-    report = M.compute_metrics([scores[s] for s in ordered],
-                               [labels_by_subject[s] for s in ordered],
-                               clip_accuracy=correct / total if total else None,
-                               fold=fold_id)
+    report = subject_report(scores, labels_by_subject, correct, total, fold=fold_id)
     return FoldResult(fold_id=fold_id, report=report, model=model, history=history,
                       subject_scores=scores, subject_labels=labels_by_subject,
                       clip_correct=correct, clip_total=total)
@@ -217,17 +222,11 @@ def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: TrainConfig) -> KFold
     folds = [train_fold(cohort, plan, fold_id, model_cfg, cfg)
              for fold_id in range(plan.k)]
 
-    pooled_scores: list[float] = []
-    pooled_labels: list[int] = []
-    correct = total = 0
-    for fr in folds:
-        for subject, score in fr.subject_scores.items():
-            pooled_scores.append(score)
-            pooled_labels.append(fr.subject_labels[subject])
-        correct += fr.clip_correct
-        total += fr.clip_total
-    pooled = M.compute_metrics(pooled_scores, pooled_labels,
-                               clip_accuracy=correct / total if total else None)
+    # folds partition the subjects, so merging their dicts loses no subject
+    pooled = subject_report({s: v for fr in folds for s, v in fr.subject_scores.items()},
+                            {s: v for fr in folds for s, v in fr.subject_labels.items()},
+                            sum(fr.clip_correct for fr in folds),
+                            sum(fr.clip_total for fr in folds))
     return KFoldResult(plan=plan, folds=folds, pooled=pooled)
 
 

@@ -46,8 +46,6 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None) -> Tensor:
     so a sequence is never stacked into one array first. The output dtype is
     ``dtype``, or the clips' own when None.
     """
-    if isinstance(clips, Tensor):
-        clips = clips.data
     clips = [np.asarray(c) for c in clips]
     shapes = {c.shape for c in clips}
     if len(shapes) != 1 or len(next(iter(shapes))) != 4:

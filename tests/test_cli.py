@@ -48,6 +48,23 @@ def test_usage_error_exit_code():
     assert cli.main(["kfold", "--data", "/nonexistent", "--out", "x.json"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--batch-size", "1"],
+    ["train", "--loss", "bogus"],
+    ["kfold", "--head", "bogus"],
+    ["gen-data", "--rho", "1.5"],
+], ids=["batch-size", "loss", "head", "rho"])
+def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsys):
+    command, *flags = argv
+    paths = ["--out", str(tmp_path / "out")]
+    if command != "gen-data":
+        paths += ["--data", str(dataset)]
+    capsys.readouterr()
+    assert cli.main([command] + paths + TINY + flags) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
 def test_gen_data_writes_manifest(dataset):
     manifest = dataset / "manifest.csv"
     assert manifest.exists()

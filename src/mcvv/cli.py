@@ -12,14 +12,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
 
 from mcvv import train as TR
-from mcvv.config import RunConfig, UsageError
+from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError
 from mcvv.data import Cohort, generate_synthetic_cohort, plan_folds
 from mcvv.model import Model, full_model_gradcheck, load_checkpoint, save_checkpoint
 
@@ -46,17 +46,21 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                             metavar="V", help=f"(default: {f.default})")
 
 
-def _resolve_config(args) -> RunConfig:
+def _resolve_config(args, check=RunConfig.validate) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {f.name: getattr(args, f"cfg_{f.name}")
                  for f in fields(RunConfig)
                  if getattr(args, f"cfg_{f.name}", None) is not None}
     cfg.apply(overrides)
+    return _checked(cfg, check)
+
+
+def _checked(cfg: RunConfig, check=RunConfig.validate, source: str = "") -> RunConfig:
+    """``cfg`` once ``check`` accepts it; its ValueError becomes a UsageError."""
     try:
-        cfg.train_config().validate()
-        cfg.cohort_spec().validate()
+        check(cfg)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{source}{exc}") from exc
     return cfg
 
 
@@ -77,7 +81,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _resolve_config(args)
+    # only the cohort keys matter here: data may be made for any model
+    cfg = _resolve_config(args, check=lambda c: c.cohort_spec().validate())
     manifest = generate_synthetic_cohort(cfg.cohort_spec(), args.out)
     print(manifest)
     return EXIT_OK
@@ -89,11 +94,11 @@ def cmd_train(args) -> int:
     plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
     if not 0 <= args.fold < plan.k:
         raise UsageError(f"fold {args.fold} out of range (k={plan.k})")
-    result = TR.train_fold(cohort, plan, args.fold, cfg.model_config(), cfg.train_config())
+    result = TR.train_fold(cohort, plan, args.fold, cfg.model_config(), cfg)
 
     out_dir = Path(args.out)
     _write_json(out_dir / "report.json",
-                {"config": cfg.to_dict(), "report": result.report.to_dict()})
+                {"config": asdict(cfg), "report": result.report.to_dict()})
     save_checkpoint(result.model, out_dir)
     cfg.write(out_dir / "config.cfg")
     print(out_dir / "report.json")
@@ -103,9 +108,9 @@ def cmd_train(args) -> int:
 def cmd_kfold(args) -> int:
     cfg = _resolve_config(args)
     cohort = _load_cohort(args.data)
-    result = TR.run_kfold(cohort, cfg.model_config(), cfg.train_config())
+    result = TR.run_kfold(cohort, cfg.model_config(), cfg)
     payload = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "folds": [fr.report.to_dict() for fr in result.folds],
         "pooled": result.pooled.to_dict(),
     }
@@ -117,14 +122,15 @@ def cmd_kfold(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
-    cfg = RunConfig.from_file(ckpt / "config.cfg")
+    cfg_path = ckpt / "config.cfg"
+    cfg = _checked(RunConfig.from_file(cfg_path), source=f"{cfg_path}: ")
     cohort = _load_cohort(args.data)
     model = Model(cfg.model_config(), seed=cfg.seed)
     load_checkpoint(model, ckpt)
     scores, labels, correct, total = TR.evaluate_subjects(model, cohort,
                                                           cohort.subject_ids())
     report = TR.subject_report(scores, labels, correct, total)
-    payload = {"config": cfg.to_dict(), "report": report.to_dict()}
+    payload = {"config": asdict(cfg), "report": report.to_dict()}
     out = Path(args.out)
     _write_json(out, payload)
     print(out)
@@ -142,21 +148,18 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _ablate_cell(payload: tuple) -> dict:
-    base, data, t_value, head, loss, seeds = payload
-    cfg = RunConfig()
-    cfg.apply({k: v for k, v in base.items()})
+def _ablate_cell(cell: RunConfig, data: str, seeds: int) -> dict:
     cohort = _load_cohort(data)
     subject_accs, clip_accs, f1s = [], [], []
     for seed in range(seeds):
-        cfg.apply({"t": str(t_value), "head": head, "loss": loss, "seed": str(seed)})
+        cfg = replace(cell, seed=seed)
         plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
-        result = TR.train_fold(cohort, plan, 0, cfg.model_config(), cfg.train_config())
+        result = TR.train_fold(cohort, plan, 0, cfg.model_config(), cfg)
         subject_accs.append(result.report.accuracy)
         clip_accs.append(result.report.clip_accuracy)
         f1s.append(result.report.f1 if result.report.f1 is not None else float("nan"))
     return {
-        "t": t_value, "head": head, "loss": loss,
+        "t": cell.t, "head": cell.head, "loss": cell.loss,
         "subject_accuracy": float(np.median(subject_accs)),
         "clip_accuracy": float(np.median(clip_accs)),
         "f1": float(np.median(f1s)),
@@ -168,16 +171,17 @@ def cmd_ablate(args) -> int:
     for t_value in ABLATION_T_VALUES:
         if cfg.clip_len % t_value:
             raise UsageError(f"clip_len {cfg.clip_len} not divisible by t={t_value}")
-    base = {k: str(v) for k, v in cfg.to_dict().items()}
-    cells = [(base, args.data, t_value, head, loss, args.seeds)
+    cells = [(replace(cfg, t=t_value, head=head, loss=loss), args.data, args.seeds)
              for t_value in ABLATION_T_VALUES
-             for head in TR.HEAD_MODES
-             for loss in TR.LOSS_MODES]
+             for head in HEAD_MODES
+             for loss in LOSS_MODES]
+    for cell, _, _ in cells:
+        _checked(cell)   # each cell's head and loss must fit the other keys too
     if args.workers > 1:
         with Pool(args.workers) as pool:
-            rows = pool.map(_ablate_cell, cells)
+            rows = pool.starmap(_ablate_cell, cells)
     else:
-        rows = [_ablate_cell(c) for c in cells]
+        rows = [_ablate_cell(*c) for c in cells]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
-One namespace covers cohort generation, model dims, and training; every key
-can come from a config file (`key = value`, '#' comments) or a CLI flag, and
-unknown keys are rejected. Reports embed the resolved config so a run is
-reproducible from its report alone.
+`RunConfig` is a run's one config; the cohort, model and loss settings are
+views of it. Every key can come from a config file (`key = value`, '#'
+comments) or a CLI flag, and unknown keys are rejected. Reports embed the
+resolved config so a run is reproducible from its report alone.
 """
 
 from __future__ import annotations
@@ -12,8 +12,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from mcvv.data import CohortSpec
+from mcvv.loss import FocalParams, HPLossParams
 from mcvv.model import ModelConfig
-from mcvv.train import TrainConfig
+
+LOSS_MODES = ("hp", "focal", "fd")
+HEAD_MODES = ("mc", "nomc")
 
 
 class UsageError(Exception):
@@ -75,18 +78,26 @@ class RunConfig:
                            n_tp=self.n_tp, mlp_hidden=self.mlp_hidden,
                            multi_branch=self.head == "mc")
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(batch_size=self.batch_size, epochs=self.epochs,
-                           max_steps=self.max_steps or None,
-                           base_lr=self.base_lr, max_lr=self.max_lr,
-                           cycle_steps=self.cycle_steps or None,
-                           seed=self.seed, loss=self.loss, head=self.head,
-                           augment=self.augment, l_fold=self.l_fold,
-                           alpha=self.alpha, gamma=self.gamma,
-                           fd_weight=self.fd_weight, epsilon=self.epsilon)
+    def loss_params(self) -> HPLossParams:
+        focal = None if self.loss == "fd" else FocalParams(alpha=self.alpha, gamma=self.gamma)
+        fd_weight = {"hp": self.fd_weight, "focal": 0.0, "fd": 1.0}[self.loss]
+        return HPLossParams(fd_weight=fd_weight, focal=focal)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def validate(self) -> None:
+        """Raise ValueError for a value no run can use; each view checks its own."""
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2 (the discriminator needs pairs)")
+        if self.loss not in LOSS_MODES:
+            raise ValueError(f"loss must be one of {LOSS_MODES}, got {self.loss!r}")
+        if self.head not in HEAD_MODES:
+            raise ValueError(f"head must be one of {HEAD_MODES}, got {self.head!r}")
+        if self.l_fold < 1:
+            raise ValueError(f"l_fold must be >= 1, got {self.l_fold}")
+        if self.cycle_steps < 0 or self.cycle_steps == 1:
+            raise ValueError(f"cycle_steps must be 0 or >= 2, got {self.cycle_steps}")
+        self.cohort_spec().validate()
+        self.model_config()
+        self.loss_params()
 
     # -- serialization ------------------------------------------------------------------
 
@@ -115,10 +126,8 @@ def _render(value) -> str:
     return str(value)
 
 
-def _coerce(raw, current, key: str):
-    if isinstance(raw, type(current)) and not isinstance(raw, str):
-        return raw
-    text = str(raw).strip()
+def _coerce(raw: str, current, key: str):
+    text = raw.strip()
     if isinstance(current, bool):
         if text.lower() in ("true", "1", "yes"):
             return True

@@ -32,6 +32,8 @@ class EncoderConfig:
     mlp_hidden: int = 128
 
     def __post_init__(self):
+        if self.d < 1 or self.heads < 1:
+            raise ValueError(f"d={self.d} and heads={self.heads} must be >= 1")
         if self.d % self.heads != 0:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
         if self.n_sp < 1 or self.n_tp < 1:

@@ -38,12 +38,17 @@ class MCParams:
         return self.out_w.shape[1]
 
 
+def check_feature_dim(feature_dim: int, multi_branch: bool) -> None:
+    """The four branches split feature_dim / 4, so feature_dim must divide by 8."""
+    if multi_branch and feature_dim % (2 * BRANCH_COUNT) != 0:
+        raise ValueError(f"feature_dim {feature_dim} must be divisible by {2 * BRANCH_COUNT}")
+
+
 def init_mc_params(feature_dim: int, num_class: int, rng, dtype=np.float32,
                    multi_branch: bool = True) -> MCParams:
     """Head parameters; with ``multi_branch`` False the branch lists are empty
     and the output layer reads the hidden projection directly."""
-    if multi_branch and feature_dim % (2 * BRANCH_COUNT) != 0:
-        raise ValueError(f"feature_dim {feature_dim} must be divisible by {2 * BRANCH_COUNT}")
+    check_feature_dim(feature_dim, multi_branch)
     hidden = feature_dim // 4
     branch = feature_dim // 8
     count = BRANCH_COUNT if multi_branch else 0

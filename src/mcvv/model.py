@@ -25,6 +25,9 @@ from mcvv.tensor import Tensor
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model dims plus the one head switch, ``multi_branch`` (the MC head or the
+    same head without branches); dims no model can use raise ValueError."""
+
     clip_len: int = 16
     height: int = 64
     width: int = 64
@@ -40,8 +43,13 @@ class ModelConfig:
     num_class: int = 2
     multi_branch: bool = True
 
+    def __post_init__(self):
+        TB.token_counts(self.tubelet(), self.clip_len, self.height, self.width)
+        self.encoder()
+        H.check_feature_dim(self.d, self.multi_branch)
+
     def tubelet(self) -> TB.TubeletConfig:
-        return TB.TubeletConfig(t=self.t, h=self.h, w=self.w, d=self.d)
+        return TB.TubeletConfig(t=self.t, h=self.h, w=self.w)
 
     def encoder(self) -> E.EncoderConfig:
         return E.EncoderConfig(d=self.d, heads=self.heads, n_sp=self.n_sp,

@@ -1,15 +1,16 @@
 """Training loop, cyclic schedule, fold orchestration, and evaluation.
 
-A fold trains on every other fold's subjects and evaluates on its own;
-subject disjointness is asserted on every run. The confusion state behind
-the discriminator attention resets at each epoch boundary. Seeds fix fold
-assignment, weight init, batch shuffling, and augmentation draws, so a rerun
-reproduces its reports byte for byte.
+Training reads the run's one config, `config.RunConfig`, and builds its
+loss from the `loss_params` view. A fold trains on every other fold's
+subjects and evaluates on its own; subject disjointness is asserted on every
+run. The confusion state behind the discriminator attention resets at each
+epoch boundary. Seeds fix fold assignment, weight init, batch shuffling, and
+augmentation draws, so a rerun reproduces its reports byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,38 +18,9 @@ import numpy as np
 from mcvv import loss as L
 from mcvv import metrics as M
 from mcvv import tensor as T
+from mcvv.config import RunConfig
 from mcvv.data import Cohort, FoldPlan, augment_clip, plan_folds
 from mcvv.model import Model, ModelConfig
-
-LOSS_MODES = ("hp", "focal", "fd")
-HEAD_MODES = ("mc", "nomc")
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 16
-    epochs: int = 30
-    max_steps: int | None = None       # optional cap across epochs
-    base_lr: float = 1e-6
-    max_lr: float = 1e-4
-    cycle_steps: int | None = None     # default: two epochs of batches
-    seed: int = 0
-    loss: str = "hp"
-    head: str = "mc"
-    augment: bool = True
-    l_fold: int = 3
-    alpha: float = 0.25
-    gamma: float = 2.0
-    fd_weight: float = 0.5
-    epsilon: float = 1e-3
-
-    def validate(self) -> None:
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (the discriminator needs pairs)")
-        if self.loss not in LOSS_MODES:
-            raise ValueError(f"loss must be one of {LOSS_MODES}, got {self.loss!r}")
-        if self.head not in HEAD_MODES:
-            raise ValueError(f"head must be one of {HEAD_MODES}, got {self.head!r}")
 
 
 # -- optimizer --------------------------------------------------------------------
@@ -99,13 +71,11 @@ def cyclic_lr(step: int, base_lr: float, max_lr: float, cycle_len: int) -> float
 
 
 def batch_loss(model: Model, clips: list[np.ndarray], labels: np.ndarray,
-               state: L.AdCorreState, cfg: TrainConfig):
-    """Forward the batch and build the configured loss as one scalar graph."""
+               state: L.AdCorreState, params: L.HPLossParams):
+    """Forward the batch and build the run's loss (``RunConfig.loss_params``)
+    as one scalar graph."""
     logits_b, emb_b = model.forward(clips)
-    focal = None if cfg.loss == "fd" else L.FocalParams(alpha=cfg.alpha, gamma=cfg.gamma)
-    fd_weight = {"hp": cfg.fd_weight, "focal": 0.0, "fd": 1.0}[cfg.loss]
-    return L.hp_loss(logits_b, labels, emb_b, state,
-                     L.HPLossParams(fd_weight=fd_weight, focal=focal))
+    return L.hp_loss(logits_b, labels, emb_b, state, params)
 
 
 # -- fold training and evaluation --------------------------------------------------------
@@ -158,8 +128,10 @@ def subject_report(scores: dict, labels: dict, correct: int, total: int,
 
 
 def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
-               model_cfg: ModelConfig, cfg: TrainConfig) -> FoldResult:
+               model_cfg: ModelConfig, cfg: RunConfig) -> FoldResult:
     cfg.validate()
+    if model_cfg.multi_branch != (cfg.head == "mc"):
+        raise ValueError(f"multi_branch={model_cfg.multi_branch} contradicts head={cfg.head!r}")
     eval_subjects = list(plan.folds[fold_id])
     train_subjects = [s for f, fold in enumerate(plan.folds) if f != fold_id
                       for s in fold]
@@ -170,7 +142,6 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     if not train_idx:
         raise ValueError(f"fold {fold_id}: empty training split")
 
-    model_cfg = replace(model_cfg, multi_branch=cfg.head == "mc")
     model = Model(model_cfg, seed=_substream(cfg.seed, fold_id, 0))
     shuffle_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 1))
     augment_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 2))
@@ -178,6 +149,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     params = model.parameters()
     moments = init_moments(params)
     state = L.AdCorreState(num_class=model_cfg.num_class, epsilon=cfg.epsilon)
+    loss_params = cfg.loss_params()
     batches_per_epoch = max(1, len(train_idx) // cfg.batch_size)
     cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch)
 
@@ -199,13 +171,13 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
             labels = np.array([cohort.records[i].label for i in chunk])
 
             T.zero_grads(params)
-            loss = batch_loss(model, clips, labels, state, cfg)
+            loss = batch_loss(model, clips, labels, state, loss_params)
             T.backward(loss)
             lr = cyclic_lr(step, cfg.base_lr, cfg.max_lr, cycle)
             adam_step(params, [p.grad for p in params], moments, lr)
             history.append(loss.item())
             step += 1
-            if cfg.max_steps is not None and step >= cfg.max_steps:
+            if cfg.max_steps and step >= cfg.max_steps:
                 done = True
                 break
 
@@ -216,7 +188,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
                       clip_correct=correct, clip_total=total)
 
 
-def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: TrainConfig) -> KFoldResult:
+def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig) -> KFoldResult:
     """Train every fold; pool each fold's held-out subject predictions."""
     plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
     folds = [train_fold(cohort, plan, fold_id, model_cfg, cfg)

@@ -23,10 +23,9 @@ class TubeletConfig:
     t: int          # frames per cube
     h: int          # pixel rows per cube
     w: int          # pixel cols per cube
-    d: int = 64     # embedding dimension
 
     def __post_init__(self):
-        if min(self.t, self.h, self.w, self.d) < 1:
+        if min(self.t, self.h, self.w) < 1:
             raise ValueError(f"non-positive tubelet extent in {self}")
 
 

@@ -8,6 +8,7 @@ dominate the runtime (about ten minutes total on one core).
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from mcvv import metrics as M
 from mcvv import tensor as T
 from mcvv import train as TR
 from mcvv import tubelet as TB
+from mcvv.config import RunConfig
 from mcvv.model import ModelConfig, full_model_gradcheck
 from mcvv.tensor import Tensor
 
@@ -233,10 +235,10 @@ def test_criterion_6_learnability(tmp_path):
 
     clip_accs = []
     for seed in range(5):
-        cfg = TR.TrainConfig(batch_size=16, epochs=100, max_steps=200,
-                             base_lr=1e-6, max_lr=1e-3, cycle_steps=200,
-                             seed=seed, loss="hp", head="mc", augment=True,
-                             l_fold=3)
+        cfg = RunConfig(batch_size=16, epochs=100, max_steps=200,
+                        base_lr=1e-6, max_lr=1e-3, cycle_steps=200,
+                        seed=seed, loss="hp", head="mc", augment=True,
+                        l_fold=3)
         result = TR.train_fold(cohort, plan, 0, model_cfg, cfg)
         clip_accs.append(result.report.clip_accuracy)
     elapsed = time.perf_counter() - start
@@ -262,11 +264,12 @@ def test_criterion_7_ablation_directionality(tmp_path):
     def median_accuracy(loss: str, head: str) -> float:
         accs = []
         for seed in range(5):
-            cfg = TR.TrainConfig(batch_size=8, epochs=100, max_steps=150,
-                                 base_lr=1e-6, max_lr=3e-3, cycle_steps=150,
-                                 seed=seed, loss=loss, head=head, augment=True,
-                                 l_fold=8)
-            accs.append(TR.train_fold(cohort, plan, 0, model_cfg, cfg).report.accuracy)
+            cfg = RunConfig(batch_size=8, epochs=100, max_steps=150,
+                            base_lr=1e-6, max_lr=3e-3, cycle_steps=150,
+                            seed=seed, loss=loss, head=head, augment=True,
+                            l_fold=8)
+            head_cfg = replace(model_cfg, multi_branch=head == "mc")
+            accs.append(TR.train_fold(cohort, plan, 0, head_cfg, cfg).report.accuracy)
         return float(np.median(accs))
 
     hp = median_accuracy("hp", "mc")

@@ -53,7 +53,18 @@ def test_usage_error_exit_code():
     ["train", "--loss", "bogus"],
     ["kfold", "--head", "bogus"],
     ["gen-data", "--rho", "1.5"],
-], ids=["batch-size", "loss", "head", "rho"])
+    ["train", "--d", "12"],
+    ["train", "--heads", "3"],
+    ["train", "--heads", "0"],
+    ["train", "--t", "32"],
+    ["kfold", "--alpha", "2"],
+    ["kfold", "--gamma", "-1"],
+    ["kfold", "--fd-weight", "-1"],
+    ["ablate", "--cycle-steps", "1"],
+    ["ablate", "--l-fold", "0"],
+    ["ablate", "--head", "nomc", "--d", "12"],
+], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
+        "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell"])
 def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsys):
     command, *flags = argv
     paths = ["--out", str(tmp_path / "out")]
@@ -62,6 +73,26 @@ def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsy
     assert cli.main([command] + paths + TINY + flags) == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+def test_gen_data_checks_cohort_keys_only(tmp_path):
+    # 8x8 frames are too small for the default 16x16 cubes, but gen-data
+    # makes no model, so only the cohort keys are checked
+    argv = ["gen-data", "--out", str(tmp_path / "d"), "--hw", "8", "--mci", "1", "--nc", "1",
+            "--frames-min", "16", "--frames-max", "16"]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_eval_rejects_bad_checkpoint_config(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    RunConfig(heads=3).write(ckpt / "config.cfg")
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--out", str(tmp_path / "eval.json")])
+    assert rc == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert "config.cfg" in lines[0] and "heads=3" in lines[0]
 
 
 def test_gen_data_writes_manifest(dataset):
@@ -122,6 +153,15 @@ def test_ablate_grid_shape(dataset, tmp_path):
     combos = {(r["t"], r["head"], r["loss"]) for r in rows}
     assert len(combos) == 18
     assert {r["t"] for r in rows} == {"2", "4", "8"}
+
+
+def test_ablate_workers_write_same_csv(dataset, tmp_path):
+    # cells cross the process pool as RunConfig objects
+    outs = [tmp_path / f"grid{n}.csv" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        assert cli.main(["ablate", "--data", str(dataset), "--out", str(out),
+                         "--workers", str(n)] + TINY) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_gradcheck_smoke_runs_quickly():

@@ -196,7 +196,7 @@ def test_encoder_temporal_dim_variants_run():
 def test_desk_scale_forward_backward_speed():
     rng = np.random.default_rng(13)
     cfg = E.EncoderConfig(d=64, heads=4, n_sp=2, n_tp=2, mlp_hidden=128)
-    tub = TB.TubeletConfig(t=4, h=16, w=16, d=64)
+    tub = TB.TubeletConfig(t=4, h=16, w=16)
     clip = rng.random((16, 64, 64, 3)).astype(np.float32)
     counts = TB.token_counts(tub, 16, 64, 64)
     params = E.init_encoder_params(cfg, n_t=counts[0], rng=rng, dtype=np.float32)

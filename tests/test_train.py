@@ -1,10 +1,13 @@
 """Optimizer, schedule, fold training, and reproducibility."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mcvv import data as D
 from mcvv import train as TR
+from mcvv.config import LOSS_MODES, RunConfig
 from mcvv.model import Model, ModelConfig
 from mcvv.tensor import Tensor
 
@@ -95,7 +98,7 @@ def quick_train_cfg(**kw):
                     max_lr=2e-3, cycle_steps=24, seed=3, loss="hp", head="mc",
                     augment=True, l_fold=2)
     defaults.update(kw)
-    return TR.TrainConfig(**defaults)
+    return RunConfig(**defaults)
 
 
 def test_train_fold_runs_and_reports(tmp_path):
@@ -131,18 +134,36 @@ def test_train_fold_deterministic(tmp_path):
 def test_all_loss_and_head_modes_run(tmp_path):
     cohort = tiny_cohort(tmp_path)
     plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
-    for loss in TR.LOSS_MODES:
+    for loss in LOSS_MODES:
         cfg = quick_train_cfg(loss=loss, max_steps=3)
         result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
         assert len(result.history) == 3
-    result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(),
+    result = TR.train_fold(cohort, plan, 0, replace(tiny_model_cfg(), multi_branch=False),
                            quick_train_cfg(head="nomc", max_steps=3))
     assert not result.model.cfg.multi_branch
 
 
+def test_max_steps_zero_trains_every_epoch(tmp_path):
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    n_train = len(cohort) - sum(len(cohort.clips_of(s)) for s in plan.folds[0])
+    batch = 4
+    per_epoch = n_train // batch + (n_train % batch >= 2)   # a lone last clip is skipped
+    cfg = quick_train_cfg(max_steps=0, epochs=2, batch_size=batch)
+    result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
+    assert len(result.history) == 2 * per_epoch
+
+
+def test_train_fold_rejects_model_cfg_head_mismatch(tmp_path):
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    with pytest.raises(ValueError, match="head"):
+        TR.train_fold(cohort, plan, 0, tiny_model_cfg(), quick_train_cfg(head="nomc"))
+
+
 def test_train_rejects_batch_of_one():
     with pytest.raises(ValueError, match="batch_size"):
-        TR.TrainConfig(batch_size=1).validate()
+        RunConfig(batch_size=1).validate()
 
 
 def test_subject_disjointness_checked(tmp_path):

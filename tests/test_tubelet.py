@@ -95,7 +95,7 @@ def test_partition_time_major_order():
 
 def _embed_setup(dtype=np.float64, requires_grad=False):
     rng = np.random.default_rng(3)
-    cfg = TB.TubeletConfig(t=2, h=2, w=2, d=5)
+    cfg = TB.TubeletConfig(t=2, h=2, w=2)
     clip = rng.random((4, 4, 4, 3))
     counts = TB.token_counts(cfg, 4, 4, 4)
     cubes = TB.tubelet_partition(clip.astype(dtype)[None], cfg)

@@ -20,8 +20,9 @@ import numpy as np
 
 from mcvv import train as TR
 from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError
-from mcvv.data import Cohort, generate_synthetic_cohort, plan_folds
-from mcvv.model import Model, full_model_gradcheck, load_checkpoint, save_checkpoint
+from mcvv.data import Cohort, FoldPlan, generate_synthetic_cohort, plan_folds
+from mcvv.model import (Model, ModelConfig, full_model_gradcheck, load_checkpoint,
+                        save_checkpoint)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,12 +65,29 @@ def _checked(cfg: RunConfig, check=RunConfig.validate, source: str = "") -> RunC
     return cfg
 
 
-def _load_cohort(data: str) -> Cohort:
+def _fitted_cohort(data: str, model_cfg: ModelConfig) -> Cohort:
+    """The cohort at ``data`` once it holds clips of the model's shape; the
+    first clip stands for the rest."""
     path = Path(data)
     manifest = path / "manifest.csv" if path.is_dir() else path
     if not manifest.exists():
         raise UsageError(f"no manifest at {manifest}")
-    return Cohort(manifest)
+    cohort = Cohort(manifest)
+    if not len(cohort):
+        raise UsageError(f"{manifest}: no clips")
+    shape = cohort.frames(0).shape
+    expected = (model_cfg.clip_len, model_cfg.height, model_cfg.width, model_cfg.channels)
+    if shape != expected:
+        raise UsageError(f"{cohort.root / cohort.records[0].clip_path}: clip shape "
+                         f"{shape}, the model expects {expected}")
+    return cohort
+
+
+def _plan(cohort: Cohort, cfg: RunConfig) -> FoldPlan:
+    try:
+        return plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
+    except ValueError as exc:
+        raise UsageError(f"{cohort.manifest_path}: {exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -90,11 +108,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    cohort = _load_cohort(args.data)
-    plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
+    model_cfg = cfg.model_config()
+    cohort = _fitted_cohort(args.data, model_cfg)
+    plan = _plan(cohort, cfg)
     if not 0 <= args.fold < plan.k:
         raise UsageError(f"fold {args.fold} out of range (k={plan.k})")
-    result = TR.train_fold(cohort, plan, args.fold, cfg.model_config(), cfg)
+    result = TR.train_fold(cohort, plan, args.fold, model_cfg, cfg)
 
     out_dir = Path(args.out)
     _write_json(out_dir / "report.json",
@@ -107,8 +126,9 @@ def cmd_train(args) -> int:
 
 def cmd_kfold(args) -> int:
     cfg = _resolve_config(args)
-    cohort = _load_cohort(args.data)
-    result = TR.run_kfold(cohort, cfg.model_config(), cfg)
+    model_cfg = cfg.model_config()
+    cohort = _fitted_cohort(args.data, model_cfg)
+    result = TR.run_kfold(cohort, model_cfg, cfg, plan=_plan(cohort, cfg))
     payload = {
         "config": asdict(cfg),
         "folds": [fr.report.to_dict() for fr in result.folds],
@@ -124,8 +144,9 @@ def cmd_eval(args) -> int:
     ckpt = Path(args.checkpoint)
     cfg_path = ckpt / "config.cfg"
     cfg = _checked(RunConfig.from_file(cfg_path), source=f"{cfg_path}: ")
-    cohort = _load_cohort(args.data)
-    model = Model(cfg.model_config(), seed=cfg.seed)
+    model_cfg = cfg.model_config()
+    cohort = _fitted_cohort(args.data, model_cfg)
+    model = Model(model_cfg, seed=cfg.seed)
     load_checkpoint(model, ckpt)
     scores, labels, correct, total = TR.evaluate_subjects(model, cohort,
                                                           cohort.subject_ids())
@@ -148,8 +169,8 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _ablate_cell(cell: RunConfig, data: str, seeds: int) -> dict:
-    cohort = _load_cohort(data)
+def _ablate_cell(cell: RunConfig, manifest: Path, seeds: int) -> dict:
+    cohort = Cohort(manifest)
     subject_accs, clip_accs, f1s = [], [], []
     for seed in range(seeds):
         cfg = replace(cell, seed=seed)
@@ -171,17 +192,21 @@ def cmd_ablate(args) -> int:
     for t_value in ABLATION_T_VALUES:
         if cfg.clip_len % t_value:
             raise UsageError(f"clip_len {cfg.clip_len} not divisible by t={t_value}")
-    cells = [(replace(cfg, t=t_value, head=head, loss=loss), args.data, args.seeds)
+    cells = [replace(cfg, t=t_value, head=head, loss=loss)
              for t_value in ABLATION_T_VALUES
              for head in HEAD_MODES
              for loss in LOSS_MODES]
-    for cell, _, _ in cells:
+    for cell in cells:
         _checked(cell)   # each cell's head and loss must fit the other keys too
+    # the cells differ only in t, head and loss, so one data check covers them all
+    cohort = _fitted_cohort(args.data, cfg.model_config())
+    _plan(cohort, cfg)
+    jobs = [(cell, cohort.manifest_path, args.seeds) for cell in cells]
     if args.workers > 1:
         with Pool(args.workers) as pool:
-            rows = pool.starmap(_ablate_cell, cells)
+            rows = pool.starmap(_ablate_cell, jobs)
     else:
-        rows = [_ablate_cell(*c) for c in cells]
+        rows = [_ablate_cell(*job) for job in jobs]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

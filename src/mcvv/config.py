@@ -12,8 +12,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from mcvv.data import CohortSpec
+from mcvv.encoder import EncoderConfig
 from mcvv.loss import FocalParams, HPLossParams
 from mcvv.model import ModelConfig
+from mcvv.tubelet import TubeletConfig
 
 LOSS_MODES = ("hp", "focal", "fd")
 HEAD_MODES = ("mc", "nomc")
@@ -73,9 +75,10 @@ class RunConfig:
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(clip_len=self.clip_len, height=self.hw, width=self.hw,
-                           channels=self.channels, t=self.t, h=self.h, w=self.w,
-                           d=self.d, heads=self.heads, n_sp=self.n_sp,
-                           n_tp=self.n_tp, mlp_hidden=self.mlp_hidden,
+                           channels=self.channels,
+                           tubelet=TubeletConfig(t=self.t, h=self.h, w=self.w),
+                           encoder=EncoderConfig(d=self.d, heads=self.heads, n_sp=self.n_sp,
+                                                 n_tp=self.n_tp, mlp_hidden=self.mlp_hidden),
                            multi_branch=self.head == "mc")
 
     def loss_params(self) -> HPLossParams:
@@ -91,6 +94,10 @@ class RunConfig:
             raise ValueError(f"loss must be one of {LOSS_MODES}, got {self.loss!r}")
         if self.head not in HEAD_MODES:
             raise ValueError(f"head must be one of {HEAD_MODES}, got {self.head!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0 (0 means no cap), got {self.max_steps}")
         if self.l_fold < 1:
             raise ValueError(f"l_fold must be >= 1, got {self.l_fold}")
         if self.cycle_steps < 0 or self.cycle_steps == 1:

@@ -197,6 +197,11 @@ class CohortSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("clip_len", "height", "width", "channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.noise < 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.mci_subjects < 1 or self.nc_subjects < 1:

@@ -120,8 +120,6 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
     if x.ndim != 3:
         raise T.ShapeError(f"mhsa input must be [b, n, d], got shape {x.shape}")
     b, n, d = x.shape
-    if d % heads != 0:
-        raise T.ShapeError(f"model dim {d} not divisible by {heads} heads")
     dh = d // heads
 
     h = T.layer_norm(x, params.ln_gain, params.ln_bias)

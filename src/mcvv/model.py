@@ -1,9 +1,11 @@
 """Full classifier: cube embedding -> factorised encoder -> multi-branch head.
 
-Holds every learnable tensor behind stable dotted names (for the optimizer,
-checkpoints, and gradient verification) and exposes a batched forward: B clips
-[B,T,H,W,C] -> class logits [B, num_class] plus the embeddings [B, E] feeding
-the discriminator loss, as one graph.
+`ModelConfig` holds the clip geometry and the parts' own configs, a
+`TubeletConfig` and an `EncoderConfig`. The model holds every learnable tensor
+behind stable dotted names (for the optimizer, checkpoints, and gradient
+verification) and exposes a batched forward: B clips [B,T,H,W,C] -> logits
+[B, 2] over `data.LABEL_NAMES` plus the embeddings [B, E] feeding the
+discriminator loss, as one graph.
 """
 
 from __future__ import annotations
@@ -25,63 +27,47 @@ from mcvv.tensor import Tensor
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model dims plus the one head switch, ``multi_branch`` (the MC head or the
-    same head without branches); dims no model can use raise ValueError."""
+    """Clip geometry, the cube embedding and encoder configs, and the one head
+    switch, ``multi_branch`` (the MC head or the same head without branches).
+    Each part checks its own values; this checks the rules that span parts."""
 
     clip_len: int = 16
     height: int = 64
     width: int = 64
     channels: int = 3
-    t: int = 4
-    h: int = 16
-    w: int = 16
-    d: int = 64
-    heads: int = 4
-    n_sp: int = 2
-    n_tp: int = 2
-    mlp_hidden: int = 128
-    num_class: int = 2
+    tubelet: TB.TubeletConfig = TB.TubeletConfig(t=4, h=16, w=16)
+    encoder: E.EncoderConfig = E.EncoderConfig()
     multi_branch: bool = True
 
     def __post_init__(self):
-        TB.token_counts(self.tubelet(), self.clip_len, self.height, self.width)
-        self.encoder()
-        H.check_feature_dim(self.d, self.multi_branch)
-
-    def tubelet(self) -> TB.TubeletConfig:
-        return TB.TubeletConfig(t=self.t, h=self.h, w=self.w)
-
-    def encoder(self) -> E.EncoderConfig:
-        return E.EncoderConfig(d=self.d, heads=self.heads, n_sp=self.n_sp,
-                               n_tp=self.n_tp, mlp_hidden=self.mlp_hidden)
+        TB.token_counts(self.tubelet, self.clip_len, self.height, self.width)
+        H.check_feature_dim(self.encoder.d, self.multi_branch)
 
 
 class Model:
     def __init__(self, cfg: ModelConfig, seed: int, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
-        self.tubelet_cfg = cfg.tubelet()
-        self.encoder_cfg = cfg.encoder()
-        self.counts = TB.token_counts(self.tubelet_cfg, cfg.clip_len, cfg.height, cfg.width)
+        self.counts = TB.token_counts(cfg.tubelet, cfg.clip_len, cfg.height, cfg.width)
         n_tokens = self.counts[0] * self.counts[1] * self.counts[2]
-        cube_dim = cfg.t * cfg.h * cfg.w * cfg.channels
+        cube_dim = cfg.tubelet.t * cfg.tubelet.h * cfg.tubelet.w * cfg.channels
 
         rng = np.random.default_rng(seed)
-        self.proj = T.init_glorot(rng, (cube_dim, cfg.d), dtype)
-        self.cls_token = T.init_normal(rng, cfg.d, dtype, E.INIT_STD)
-        self.pos = T.init_normal(rng, (n_tokens + 1, cfg.d), dtype, E.INIT_STD)
-        self.encoder = E.init_encoder_params(self.encoder_cfg, self.counts[0], rng, dtype)
-        self.head = H.init_mc_params(cfg.d, cfg.num_class, rng, dtype,
+        self.proj = T.init_glorot(rng, (cube_dim, cfg.encoder.d), dtype)
+        self.cls_token = T.init_normal(rng, cfg.encoder.d, dtype, E.INIT_STD)
+        self.pos = T.init_normal(rng, (n_tokens + 1, cfg.encoder.d), dtype, E.INIT_STD)
+        self.encoder = E.init_encoder_params(cfg.encoder, self.counts[0], rng, dtype)
+        self.head = H.init_mc_params(cfg.encoder.d, len(D.LABEL_NAMES), rng, dtype,
                                      multi_branch=cfg.multi_branch)
 
     # -- forward -------------------------------------------------------------------
 
     def forward(self, clips) -> tuple[Tensor, Tensor]:
         """B clips ([B,T,H,W,C], or a sequence of [T,H,W,C] clips) ->
-        (logits [B, num_class], discriminator embeddings [B, E])."""
-        cubes = TB.tubelet_partition(clips, self.tubelet_cfg, self.dtype)
+        (logits [B, 2], discriminator embeddings [B, E])."""
+        cubes = TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype)
         tokens = TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
-        feature = E.encoder_forward(tokens, self.counts[0], self.encoder_cfg, self.encoder)
+        feature = E.encoder_forward(tokens, self.counts[0], self.cfg.encoder, self.encoder)
         return H.mc_features(feature, self.head)
 
     def clip_probability(self, clips) -> np.ndarray:
@@ -172,8 +158,8 @@ def load_checkpoint(model: Model, out_dir: Path | str) -> None:
 def gradcheck_config() -> ModelConfig:
     """Smallest config that still exercises every stage (< 5k parameters)."""
     return ModelConfig(clip_len=4, height=4, width=4, channels=3,
-                       t=2, h=2, w=2, d=16, heads=2, n_sp=1, n_tp=1,
-                       mlp_hidden=16, num_class=2, multi_branch=True)
+                       tubelet=TB.TubeletConfig(t=2, h=2, w=2),
+                       encoder=E.EncoderConfig(d=16, heads=2, n_sp=1, n_tp=1, mlp_hidden=16))
 
 
 def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
@@ -188,7 +174,7 @@ def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
     clips = [rng.random((cfg.clip_len, cfg.height, cfg.width, cfg.channels))
              for _ in range(batch)]
     labels = np.array([i % 2 for i in range(batch)])
-    state = L.AdCorreState(num_class=cfg.num_class)
+    state = L.AdCorreState()
     L.update_confusion(state, rng.integers(0, 2, 12), rng.integers(0, 2, 12))
     params = L.HPLossParams()
 

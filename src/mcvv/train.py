@@ -148,7 +148,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
 
     params = model.parameters()
     moments = init_moments(params)
-    state = L.AdCorreState(num_class=model_cfg.num_class, epsilon=cfg.epsilon)
+    state = L.AdCorreState(epsilon=cfg.epsilon)
     loss_params = cfg.loss_params()
     batches_per_epoch = max(1, len(train_idx) // cfg.batch_size)
     cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch)
@@ -188,9 +188,12 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
                       clip_correct=correct, clip_total=total)
 
 
-def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig) -> KFoldResult:
-    """Train every fold; pool each fold's held-out subject predictions."""
-    plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
+def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig,
+              plan: FoldPlan | None = None) -> KFoldResult:
+    """Train every fold of ``plan`` (by default the run's own plan of the
+    cohort); pool each fold's held-out subject predictions."""
+    if plan is None:
+        plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
     folds = [train_fold(cohort, plan, fold_id, model_cfg, cfg)
              for fold_id in range(plan.k)]
 

@@ -229,8 +229,9 @@ def test_criterion_6_learnability(tmp_path):
                         strength=0.4, rho=0.0, noise=0.02, seed=7)
     cohort = D.Cohort(D.generate_synthetic_cohort(spec, tmp_path))
     model_cfg = ModelConfig(clip_len=16, height=32, width=32, channels=3,
-                            t=4, h=16, w=16, d=64, heads=4, n_sp=2, n_tp=2,
-                            mlp_hidden=128)
+                            tubelet=TB.TubeletConfig(t=4, h=16, w=16),
+                            encoder=E.EncoderConfig(d=64, heads=4, n_sp=2, n_tp=2,
+                                                    mlp_hidden=128))
     plan = D.plan_folds(cohort.subject_ids(), 3, seed=7)
 
     clip_accs = []
@@ -257,8 +258,9 @@ def test_criterion_7_ablation_directionality(tmp_path):
                         strength=0.45, rho=0.3, noise=0.03, seed=21)
     cohort = D.Cohort(D.generate_synthetic_cohort(spec, tmp_path))
     model_cfg = ModelConfig(clip_len=8, height=16, width=16, channels=3,
-                            t=4, h=8, w=8, d=16, heads=2, n_sp=1, n_tp=1,
-                            mlp_hidden=16)
+                            tubelet=TB.TubeletConfig(t=4, h=8, w=8),
+                            encoder=E.EncoderConfig(d=16, heads=2, n_sp=1, n_tp=1,
+                                                    mlp_hidden=16))
     plan = D.plan_folds(cohort.subject_ids(), 8, seed=21)   # eval 8, train 11
 
     def median_accuracy(loss: str, head: str) -> float:

@@ -63,8 +63,15 @@ def test_usage_error_exit_code():
     ["ablate", "--cycle-steps", "1"],
     ["ablate", "--l-fold", "0"],
     ["ablate", "--head", "nomc", "--d", "12"],
+    ["train", "--epochs", "0"],
+    ["kfold", "--max-steps", "-1"],
+    ["gen-data", "--channels", "0"],
+    ["gen-data", "--hw", "0"],
+    ["gen-data", "--noise", "-1"],
+    ["gen-data", "--clip-len", "0"],
 ], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
-        "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell"])
+        "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell", "epochs",
+        "max-steps", "channels", "hw", "noise", "clip-len"])
 def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsys):
     command, *flags = argv
     paths = ["--out", str(tmp_path / "out")]
@@ -73,6 +80,47 @@ def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsy
     assert cli.main([command] + paths + TINY + flags) == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
+
+
+def _argv_on_data(command, data, flags, tmp_path):
+    """``command`` on ``data`` with the TINY keys plus ``flags``; eval reads
+    them from a checkpoint's config.cfg, which is all it reads before the data."""
+    out = ["--out", str(tmp_path / "out")]
+    if command != "eval":
+        return [command, "--data", str(data)] + out + TINY + flags
+    pairs = TINY + flags
+    cfg = RunConfig()
+    cfg.apply({k[2:].replace("-", "_"): v for k, v in zip(pairs[::2], pairs[1::2])})
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    cfg.write(ckpt / "config.cfg")
+    return ["eval", "--checkpoint", str(ckpt), "--data", str(data)] + out
+
+
+@pytest.mark.parametrize("command,case", [
+    ("train", "empty"), ("kfold", "empty"), ("ablate", "empty"), ("eval", "empty"),
+    ("train", "l-fold"), ("kfold", "l-fold"), ("ablate", "l-fold"),
+    ("train", "hw"), ("kfold", "hw"), ("ablate", "hw"), ("eval", "hw"),
+    ("train", "channels"), ("eval", "channels"),
+])
+def test_data_that_cannot_fit_the_run_is_one_line_usage_error(command, case, dataset,
+                                                              tmp_path, capsys):
+    data, flags, names = dataset, [], ".mcvv"
+    if case == "empty":
+        data, names = tmp_path / "empty", "manifest.csv"
+        data.mkdir()
+        (data / "manifest.csv").write_text("subject_id,clip_path,label,clip_index\n")
+    elif case == "l-fold":
+        flags, names = ["--l-fold", "9"], "manifest.csv"    # the cohort has 5 subjects
+    elif case == "hw":
+        flags = ["--hw", "32"]                              # the clips are 16x16
+    else:
+        flags = ["--channels", "1"]                         # the clips have 3 channels
+    assert cli.main(_argv_on_data(command, data, flags, tmp_path)) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert names in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_checks_cohort_keys_only(tmp_path):

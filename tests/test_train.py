@@ -8,8 +8,10 @@ import pytest
 from mcvv import data as D
 from mcvv import train as TR
 from mcvv.config import LOSS_MODES, RunConfig
+from mcvv.encoder import EncoderConfig
 from mcvv.model import Model, ModelConfig
 from mcvv.tensor import Tensor
+from mcvv.tubelet import TubeletConfig
 
 
 # -- adam -------------------------------------------------------------------------
@@ -80,8 +82,8 @@ def test_cyclic_lr_rejects_short_cycle():
 
 def tiny_model_cfg():
     return ModelConfig(clip_len=8, height=16, width=16, channels=3,
-                       t=4, h=8, w=8, d=16, heads=2, n_sp=1, n_tp=1,
-                       mlp_hidden=16)
+                       tubelet=TubeletConfig(t=4, h=8, w=8),
+                       encoder=EncoderConfig(d=16, heads=2, n_sp=1, n_tp=1, mlp_hidden=16))
 
 
 def tiny_cohort(tmp_path, **kw):

@@ -19,10 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from mcvv import train as TR
+from mcvv import tubelet as TB
 from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError
 from mcvv.data import Cohort, FoldPlan, generate_synthetic_cohort, plan_folds
 from mcvv.model import (Model, ModelConfig, full_model_gradcheck, load_checkpoint,
                         save_checkpoint)
+from mcvv.tensor import ShapeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,9 +67,11 @@ def _checked(cfg: RunConfig, check=RunConfig.validate, source: str = "") -> RunC
     return cfg
 
 
-def _fitted_cohort(data: str, model_cfg: ModelConfig) -> Cohort:
-    """The cohort at ``data`` once it holds clips of the model's shape; the
-    first clip stands for the rest."""
+def _fitted_cohort(data: str, *model_cfgs: ModelConfig) -> Cohort:
+    """The cohort at ``data`` once its clips cut into the cubes each of
+    ``model_cfgs`` embeds: the same channels and token counts, so trailing
+    frames and pixels that fill no cube may differ. The first clip stands
+    for the rest."""
     path = Path(data)
     manifest = path / "manifest.csv" if path.is_dir() else path
     if not manifest.exists():
@@ -76,11 +80,26 @@ def _fitted_cohort(data: str, model_cfg: ModelConfig) -> Cohort:
     if not len(cohort):
         raise UsageError(f"{manifest}: no clips")
     shape = cohort.frames(0).shape
-    expected = (model_cfg.clip_len, model_cfg.height, model_cfg.width, model_cfg.channels)
-    if shape != expected:
-        raise UsageError(f"{cohort.root / cohort.records[0].clip_path}: clip shape "
-                         f"{shape}, the model expects {expected}")
+    for m in model_cfgs:
+        if not _fits(shape, m):
+            raise UsageError(f"{cohort.root / cohort.records[0].clip_path}: clip shape "
+                             f"{shape} does not fit a model of "
+                             f"{(m.clip_len, m.height, m.width, m.channels)} clips in "
+                             f"{m.tubelet.t}x{m.tubelet.h}x{m.tubelet.w} cubes")
     return cohort
+
+
+def _fits(shape: tuple, model_cfg: ModelConfig) -> bool:
+    """Whether a clip of ``shape`` yields the model's channels and token counts."""
+    if len(shape) != 4 or shape[3] != model_cfg.channels:
+        return False
+    frames, height, width, _ = shape
+    expected = TB.token_counts(model_cfg.tubelet, model_cfg.clip_len,
+                               model_cfg.height, model_cfg.width)
+    try:
+        return TB.token_counts(model_cfg.tubelet, frames, height, width) == expected
+    except ShapeError:   # too small for even one cube
+        return False
 
 
 def _plan(cohort: Cohort, cfg: RunConfig) -> FoldPlan:
@@ -128,7 +147,8 @@ def cmd_kfold(args) -> int:
     cfg = _resolve_config(args)
     model_cfg = cfg.model_config()
     cohort = _fitted_cohort(args.data, model_cfg)
-    result = TR.run_kfold(cohort, model_cfg, cfg, plan=_plan(cohort, cfg))
+    _plan(cohort, cfg)
+    result = TR.run_kfold(cohort, model_cfg, cfg)
     payload = {
         "config": asdict(cfg),
         "folds": [fr.report.to_dict() for fr in result.folds],
@@ -198,8 +218,7 @@ def cmd_ablate(args) -> int:
              for loss in LOSS_MODES]
     for cell in cells:
         _checked(cell)   # each cell's head and loss must fit the other keys too
-    # the cells differ only in t, head and loss, so one data check covers them all
-    cohort = _fitted_cohort(args.data, cfg.model_config())
+    cohort = _fitted_cohort(args.data, *(cell.model_config() for cell in cells))
     _plan(cohort, cfg)
     jobs = [(cell, cohort.manifest_path, args.seeds) for cell in cells]
     if args.workers > 1:

@@ -188,12 +188,9 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
                       clip_correct=correct, clip_total=total)
 
 
-def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig,
-              plan: FoldPlan | None = None) -> KFoldResult:
-    """Train every fold of ``plan`` (by default the run's own plan of the
-    cohort); pool each fold's held-out subject predictions."""
-    if plan is None:
-        plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
+def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig) -> KFoldResult:
+    """Train every fold; pool each fold's held-out subject predictions."""
+    plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
     folds = [train_fold(cohort, plan, fold_id, model_cfg, cfg)
              for fold_id in range(plan.k)]
 

@@ -123,6 +123,35 @@ def test_data_that_cannot_fit_the_run_is_one_line_usage_error(command, case, dat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def long_dataset(tmp_path_factory):
+    # 10-frame 20x20 clips: TINY's 4x8x8 cubes cut them as they cut 8-frame
+    # 16x16 clips, with trailing frames and pixels that fill no cube
+    out = tmp_path_factory.mktemp("long")
+    argv = ["gen-data", "--out", str(out), "--seed", "1"] + TINY + ["--clip-len", "10",
+                                                                   "--hw", "20"]
+    assert cli.main(argv) == 0
+    return out
+
+
+def test_clips_with_trailing_frames_and_pixels_fit(long_dataset, tmp_path):
+    ckpt = tmp_path / "ckpt"
+    assert cli.main(["train", "--data", str(long_dataset), "--out", str(ckpt)]
+                    + TINY) == cli.EXIT_OK
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(long_dataset),
+                     "--out", str(tmp_path / "eval.json")]) == cli.EXIT_OK
+
+
+def test_ablate_checks_the_fit_of_every_t(long_dataset, tmp_path, capsys):
+    # t=4 and t=8 cut 10 frames as they cut 8, but t=2 makes 5 cubes, not 4
+    argv = _argv_on_data("ablate", long_dataset, [], tmp_path)
+    assert cli.main(argv) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert ".mcvv" in lines[0] and "2x8x8 cubes" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_checks_cohort_keys_only(tmp_path):
     # 8x8 frames are too small for the default 16x16 cubes, but gen-data
     # makes no model, so only the cohort keys are checked

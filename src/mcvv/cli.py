@@ -20,7 +20,7 @@ import numpy as np
 
 from mcvv import train as TR
 from mcvv import tubelet as TB
-from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError
+from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError, write_text_atomic
 from mcvv.data import Cohort, FoldPlan, generate_synthetic_cohort, plan_folds
 from mcvv.model import (Model, ModelConfig, full_model_gradcheck, load_checkpoint,
                         save_checkpoint)
@@ -111,7 +111,7 @@ def _plan(cohort: Cohort, cfg: RunConfig) -> FoldPlan:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # -- commands -------------------------------------------------------------------------

@@ -8,6 +8,7 @@ resolved config so a run is reproducible from its report alone.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -67,11 +68,7 @@ class RunConfig:
     # -- views ---------------------------------------------------------------------
 
     def cohort_spec(self) -> CohortSpec:
-        return CohortSpec(mci_subjects=self.mci, nc_subjects=self.nc,
-                          frames_min=self.frames_min, frames_max=self.frames_max,
-                          clip_len=self.clip_len, height=self.hw, width=self.hw,
-                          channels=self.channels, strength=self.strength,
-                          rho=self.rho, noise=self.noise, seed=self.seed)
+        return CohortSpec(**{f.name: getattr(self, f.name) for f in fields(CohortSpec)})
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(clip_len=self.clip_len, height=self.hw, width=self.hw,
@@ -110,7 +107,7 @@ class RunConfig:
 
     def write(self, path: Path | str) -> None:
         lines = [f"{f.name} = {_render(getattr(self, f.name))}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_file(cls, path: Path | str) -> "RunConfig":
@@ -125,6 +122,20 @@ class RunConfig:
             if key not in known:
                 raise UsageError(f"unknown config key '{key}'")
             setattr(self, key, _coerce(raw, getattr(self, key), key))
+
+
+def write_text_atomic(path: Path | str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``, so ``path`` is never partly written: a write that fails
+    leaves the old file whole and removes the temporary one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _render(value) -> str:

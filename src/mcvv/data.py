@@ -183,13 +183,15 @@ def read_tensor_file(path: Path | str) -> np.ndarray:
 
 @dataclass
 class CohortSpec:
-    mci_subjects: int = 20
-    nc_subjects: int = 12
+    """Cohort generation settings. Each field is the run key of the same
+    name (`config.RunConfig`), so an error names the key a user sets."""
+
+    mci: int = 20              # MCI (class 1) subjects
+    nc: int = 12               # NC (class 0) subjects
     frames_min: int = 128
     frames_max: int = 256
     clip_len: int = 16
-    height: int = 64
-    width: int = 64
+    hw: int = 64               # frame height and width
     channels: int = 3
     strength: float = 0.35     # oscillation amplitude of the planted patch
     rho: float = 0.0           # fraction of class-1 clips left signature-free
@@ -197,15 +199,13 @@ class CohortSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("clip_len", "height", "width", "channels"):
+        for name in ("mci", "nc", "clip_len", "hw", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
         if not (0.0 <= self.rho < 1.0):
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-        if self.mci_subjects < 1 or self.nc_subjects < 1:
-            raise ValueError("each class needs at least one subject")
         if self.frames_min > self.frames_max:
             raise ValueError("frames_min > frames_max")
         if self.frames_min < self.clip_len:
@@ -232,10 +232,10 @@ def signature_wave(clip_len: int, strength: float) -> np.ndarray:
 
 
 def _make_clip(spec: CohortSpec, rng: np.random.Generator, with_signature: bool) -> np.ndarray:
-    shape = (spec.clip_len, spec.height, spec.width, spec.channels)
+    shape = (spec.clip_len, spec.hw, spec.hw, spec.channels)
     frames = 0.5 + spec.noise * rng.standard_normal(shape)
     if with_signature:
-        rows, cols = signature_region(spec.height, spec.width)
+        rows, cols = signature_region(spec.hw, spec.hw)
         wave = signature_wave(spec.clip_len, spec.strength)
         frames[:, rows, cols, :] += wave[:, None, None, None]
     return np.clip(frames, 0.0, 1.0).astype(np.float32)
@@ -254,8 +254,8 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
     clip_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
 
-    subjects = [(f"mci{i:02d}", LABEL_MCI) for i in range(spec.mci_subjects)]
-    subjects += [(f"nc{i:02d}", LABEL_NC) for i in range(spec.nc_subjects)]
+    subjects = [(f"mci{i:02d}", LABEL_MCI) for i in range(spec.mci)]
+    subjects += [(f"nc{i:02d}", LABEL_NC) for i in range(spec.nc)]
 
     records: list[ClipRecord] = []
     mci_clips_seen = 0

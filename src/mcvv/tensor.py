@@ -11,7 +11,10 @@ leading batch axes (the smaller operand must equal the trailing shape of the
 larger one) -- anything else needs an explicit reshape/repeat.
 
 Every operation checks its output for NaN/Inf and raises NonFiniteError
-naming the operation instead of letting bad values propagate.
+naming the operation instead of letting bad values propagate. Operations
+that only move values (reshape, transpose, getitem, concat, repeat) skip
+the check, which cannot fail on finite inputs; repeat's backward sums, so
+it can overflow, and keeps its gradient check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from scipy.special import erf
 _ALLOWED_DTYPES = (np.float32, np.float64)
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+# Ops whose outputs, and gradients but for repeat's sum, are finite whenever
+# their inputs are; see the module docstring.
+_MOVES_VALUES = frozenset({"reshape", "transpose", "getitem", "concat", "repeat"})
+_MOVES_GRADIENTS = _MOVES_VALUES - {"repeat"}
 
 
 class ShapeError(ValueError):
@@ -49,7 +58,8 @@ class Tensor:
     value-semantic and safe to hand across threads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_op")
+    # __weakref__ lets a caller watch a graph die without keeping it alive.
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -68,7 +78,8 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: Sequence["Tensor"],
                  grad_fn: Callable, op: str) -> "Tensor":
-        _ensure_finite(data, op)
+        if op not in _MOVES_VALUES:
+            _ensure_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -448,7 +459,8 @@ def backward(loss: Tensor) -> None:
         for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
-            _ensure_finite(g, f"{node._op}.backward")
+            if node._op not in _MOVES_GRADIENTS:
+                _ensure_finite(g, f"{node._op}.backward")
             parent.grad = g if parent.grad is None else parent.grad + g
 
 

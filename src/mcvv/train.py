@@ -5,13 +5,17 @@ loss from the `loss_params` view. A fold trains on every other fold's
 subjects and evaluates on its own; subject disjointness is asserted on every
 run. The confusion state behind the discriminator attention resets at each
 epoch boundary. Seeds fix fold assignment, weight init, batch shuffling, and
-augmentation draws, so a rerun reproduces its reports byte for byte.
+augmentation draws, so a rerun reproduces its reports byte for byte. One
+loader thread reads and augments the next batch while the current one
+trains.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +80,20 @@ def batch_loss(model: Model, clips: list[np.ndarray], labels: np.ndarray,
     as one scalar graph."""
     logits_b, emb_b = model.forward(clips)
     return L.hp_loss(logits_b, labels, emb_b, state, params)
+
+
+def train_step(model: Model, moments: AdamMoments, clips: list[np.ndarray],
+               labels: np.ndarray, state: L.AdCorreState, params: L.HPLossParams,
+               lr: float) -> float:
+    """One Adam step on the batch's loss; returns the loss. The step's graph
+    (activations and cube matrix) dies on return, before the next batch's
+    forward builds another."""
+    weights = model.parameters()
+    T.zero_grads(weights)
+    loss = batch_loss(model, clips, labels, state, params)
+    T.backward(loss)
+    adam_step(weights, [p.grad for p in weights], moments, lr)
+    return loss.item()
 
 
 # -- fold training and evaluation --------------------------------------------------------
@@ -146,46 +164,101 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     shuffle_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 1))
     augment_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 2))
 
-    params = model.parameters()
-    moments = init_moments(params)
+    moments = init_moments(model.parameters())
     state = L.AdCorreState(epsilon=cfg.epsilon)
     loss_params = cfg.loss_params()
     batches_per_epoch = max(1, len(train_idx) // cfg.batch_size)
     cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch)
 
-    history: list[float] = []
-    step = 0
-    done = False
-    for _ in range(cfg.epochs):
-        if done:
-            break
-        state.reset()
-        order = shuffle_rng.permutation(len(train_idx))
-        for lo in range(0, len(order), cfg.batch_size):
-            chunk = [train_idx[i] for i in order[lo:lo + cfg.batch_size]]
-            if len(chunk) < 2:
-                continue  # the discriminator needs at least one pair
-            clips = [cohort.frames(i) for i in chunk]
-            if cfg.augment:
-                clips = [augment_clip(c, augment_rng) for c in clips]
-            labels = np.array([cohort.records[i].label for i in chunk])
+    # Imported here, so that commands which never train do not load it.
+    from concurrent.futures import ThreadPoolExecutor
 
-            T.zero_grads(params)
-            loss = batch_loss(model, clips, labels, state, loss_params)
-            T.backward(loss)
+    history: list[float] = []
+    with _blas_thread_lent(), ThreadPoolExecutor(max_workers=1) as loader:
+        batches = _batches(cohort, train_idx, cfg, shuffle_rng, augment_rng, loader)
+        for step, (new_epoch, labels, clips) in enumerate(batches):
+            if new_epoch:
+                state.reset()
             lr = cyclic_lr(step, cfg.base_lr, cfg.max_lr, cycle)
-            adam_step(params, [p.grad for p in params], moments, lr)
-            history.append(loss.item())
-            step += 1
-            if cfg.max_steps and step >= cfg.max_steps:
-                done = True
-                break
+            history.append(train_step(model, moments, clips, labels, state, loss_params, lr))
 
     scores, labels_by_subject, correct, total = evaluate_subjects(model, cohort, eval_subjects)
     report = subject_report(scores, labels_by_subject, correct, total, fold=fold_id)
     return FoldResult(fold_id=fold_id, report=report, model=model, history=history,
                       subject_scores=scores, subject_labels=labels_by_subject,
                       clip_correct=correct, clip_total=total)
+
+
+def _batches(cohort: Cohort, train_idx: list[int], cfg: RunConfig,
+             shuffle_rng: np.random.Generator, augment_rng: np.random.Generator,
+             loader) -> Iterator[tuple[bool, np.ndarray, list[np.ndarray]]]:
+    """A fold's training batches as ``(new_epoch, labels, clips)``, one per
+    step, across epoch boundaries, ending after ``cfg.max_steps`` of them
+    (every epoch's when 0), so no batch is loaded past the last step.
+
+    ``loader``, an executor with one worker, reads and augments batch i+1
+    while the caller trains on batch i. It runs loads in the order they are
+    submitted, so ``augment_rng`` is drawn in the order of a serial loop, and
+    a load's error reaches the caller, message intact, through ``result()``.
+    """
+    def load(new_epoch, chunk):
+        # clip by clip, so each raw clip dies once augmented
+        clips = [augment_clip(cohort.frames(i), augment_rng) if cfg.augment
+                 else cohort.frames(i) for i in chunk]
+        return new_epoch, np.array([cohort.records[i].label for i in chunk]), clips
+
+    def chunks():
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(train_idx))
+            new_epoch = True
+            for lo in range(0, len(order), cfg.batch_size):
+                chunk = [train_idx[i] for i in order[lo:lo + cfg.batch_size]]
+                if len(chunk) >= 2:   # the discriminator needs at least one pair
+                    yield new_epoch, chunk
+                    new_epoch = False
+
+    in_flight = None
+    for new_epoch, chunk in islice(chunks(), cfg.max_steps or None):
+        submitted = loader.submit(load, new_epoch, chunk)
+        if in_flight is not None:
+            yield in_flight.result()
+        in_flight = submitted
+    if in_flight is not None:
+        yield in_flight.result()
+
+
+def _openblas():
+    """Thread-count getter and setter of the OpenBLAS that numpy bundles, or
+    None when numpy links another BLAS."""
+    import ctypes   # here, so that commands which never train do not load it
+
+    # Symbol lookup through a library's handle also searches the libraries
+    # it links, and numpy's core extension links the bundled OpenBLAS.
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _blas_thread_lent():
+    """BLAS runs one thread fewer (at least 1) inside the block, leaving a
+    core to the clip loader; the count it had is restored on exit."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(max(1, before - 1))
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig) -> KFoldResult:

@@ -224,8 +224,8 @@ def test_criterion_5_metric_oracles():
 
 def test_criterion_6_learnability(tmp_path):
     start = time.perf_counter()
-    spec = D.CohortSpec(mci_subjects=20, nc_subjects=12, frames_min=128,
-                        frames_max=256, clip_len=16, height=32, width=32,
+    spec = D.CohortSpec(mci=20, nc=12, frames_min=128,
+                        frames_max=256, clip_len=16, hw=32,
                         strength=0.4, rho=0.0, noise=0.02, seed=7)
     cohort = D.Cohort(D.generate_synthetic_cohort(spec, tmp_path))
     model_cfg = ModelConfig(clip_len=16, height=32, width=32, channels=3,
@@ -253,8 +253,8 @@ def test_criterion_6_learnability(tmp_path):
 
 
 def test_criterion_7_ablation_directionality(tmp_path):
-    spec = D.CohortSpec(mci_subjects=12, nc_subjects=7, frames_min=64,
-                        frames_max=128, clip_len=8, height=16, width=16,
+    spec = D.CohortSpec(mci=12, nc=7, frames_min=64,
+                        frames_max=128, clip_len=8, hw=16,
                         strength=0.45, rho=0.3, noise=0.03, seed=21)
     cohort = D.Cohort(D.generate_synthetic_cohort(spec, tmp_path))
     model_cfg = ModelConfig(clip_len=8, height=16, width=16, channels=3,

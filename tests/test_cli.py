@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,29 @@ def test_config_file_roundtrip(tmp_path):
     assert loaded == cfg
 
 
+@pytest.mark.parametrize("writer", ["report", "config"])
+def test_failed_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    write = {"report": lambda: cli._write_json(path, {"accuracy": 1.0}),
+             "config": lambda: RunConfig(seed=5).write(path)}[writer]
+    path.write_text("old\n")
+    real_write_text = Path.write_text
+
+    def disk_full_halfway(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full_halfway)
+    with pytest.raises(OSError, match="No space"):
+        write()
+    monkeypatch.undo()
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    write()
+    assert path.read_text() != "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("mci = 5\nbogus_key = 1\n")
@@ -48,31 +72,33 @@ def test_usage_error_exit_code():
     assert cli.main(["kfold", "--data", "/nonexistent", "--out", "x.json"]) == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--batch-size", "1"],
-    ["train", "--loss", "bogus"],
-    ["kfold", "--head", "bogus"],
-    ["gen-data", "--rho", "1.5"],
-    ["train", "--d", "12"],
-    ["train", "--heads", "3"],
-    ["train", "--heads", "0"],
-    ["train", "--t", "32"],
-    ["kfold", "--alpha", "2"],
-    ["kfold", "--gamma", "-1"],
-    ["kfold", "--fd-weight", "-1"],
-    ["ablate", "--cycle-steps", "1"],
-    ["ablate", "--l-fold", "0"],
-    ["ablate", "--head", "nomc", "--d", "12"],
-    ["train", "--epochs", "0"],
-    ["kfold", "--max-steps", "-1"],
-    ["gen-data", "--channels", "0"],
-    ["gen-data", "--hw", "0"],
-    ["gen-data", "--noise", "-1"],
-    ["gen-data", "--clip-len", "0"],
+@pytest.mark.parametrize("argv,key", [
+    (["train", "--batch-size", "1"], "batch_size"),
+    (["train", "--loss", "bogus"], "loss"),
+    (["kfold", "--head", "bogus"], "head"),
+    (["gen-data", "--rho", "1.5"], "rho"),
+    (["train", "--d", "12"], None),
+    (["train", "--heads", "3"], "heads"),
+    (["train", "--heads", "0"], "heads"),
+    (["train", "--t", "32"], None),
+    (["kfold", "--alpha", "2"], "alpha"),
+    (["kfold", "--gamma", "-1"], "gamma"),
+    (["kfold", "--fd-weight", "-1"], "fd_weight"),
+    (["ablate", "--cycle-steps", "1"], "cycle_steps"),
+    (["ablate", "--l-fold", "0"], "l_fold"),
+    (["ablate", "--head", "nomc", "--d", "12"], None),
+    (["train", "--epochs", "0"], "epochs"),
+    (["kfold", "--max-steps", "-1"], "max_steps"),
+    (["gen-data", "--channels", "0"], "channels"),
+    (["gen-data", "--hw", "0"], "hw"),
+    (["gen-data", "--noise", "-1"], "noise"),
+    (["gen-data", "--clip-len", "0"], "clip_len"),
+    (["gen-data", "--mci", "0"], "mci"),
 ], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
         "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell", "epochs",
-        "max-steps", "channels", "hw", "noise", "clip-len"])
-def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsys):
+        "max-steps", "channels", "hw", "noise", "clip-len", "mci"])
+def test_bad_config_value_is_one_line_usage_error(argv, key, dataset, tmp_path, capsys):
+    """``key``, when given, is the run key the message must name."""
     command, *flags = argv
     paths = ["--out", str(tmp_path / "out")]
     if command != "gen-data":
@@ -80,6 +106,8 @@ def test_bad_config_value_is_one_line_usage_error(argv, dataset, tmp_path, capsy
     assert cli.main([command] + paths + TINY + flags) == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    if key is not None:
+        assert re.search(rf"\b{key}\b", lines[0]), lines[0]
 
 
 def _argv_on_data(command, data, flags, tmp_path):

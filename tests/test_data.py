@@ -253,8 +253,8 @@ def test_tensor_file_header_layout(tmp_path):
 
 
 def _tiny_spec(**kw):
-    defaults = dict(mci_subjects=4, nc_subjects=3, frames_min=32, frames_max=64,
-                    clip_len=16, height=16, width=16, channels=3,
+    defaults = dict(mci=4, nc=3, frames_min=32, frames_max=64,
+                    clip_len=16, hw=16, channels=3,
                     strength=0.35, rho=0.0, noise=0.0, seed=5)
     defaults.update(kw)
     return D.CohortSpec(**defaults)
@@ -268,7 +268,7 @@ def _signature_energy(frames):
 
 
 def test_cohort_class_counts(tmp_path):
-    manifest = D.generate_synthetic_cohort(_tiny_spec(mci_subjects=20, nc_subjects=12,
+    manifest = D.generate_synthetic_cohort(_tiny_spec(mci=20, nc=12,
                                                       frames_min=32, frames_max=48),
                                            tmp_path)
     cohort = D.Cohort(manifest)
@@ -342,6 +342,6 @@ def test_cohort_spec_validation():
     with pytest.raises(ValueError):
         _tiny_spec(rho=1.0).validate()
     with pytest.raises(ValueError):
-        _tiny_spec(mci_subjects=0).validate()
+        _tiny_spec(mci=0).validate()
     with pytest.raises(ValueError):
         _tiny_spec(frames_min=8).validate()

@@ -215,6 +215,17 @@ def test_nonfinite_raises_with_op_name():
         T.log(t64([-1.0]))
 
 
+def test_repeat_backward_overflow_raises_with_op_name():
+    # repeat's forward only copies, but its backward sums: three float32
+    # gradients of 3e38 overflow to inf
+    x = Tensor(np.full((1, 2), 1e-38, dtype=np.float32), requires_grad=True)
+    scale = Tensor(np.full((3, 2), 3e38, dtype=np.float32))
+    loss = T.tsum(T.mul(T.repeat(x, 3, axis=0), scale))
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError,
+                                                   match=r"repeat\.backward"):
+        T.backward(loss)
+
+
 def test_nonfinite_on_construction():
     with pytest.raises(T.NonFiniteError):
         Tensor(np.array([np.nan]))

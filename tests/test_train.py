@@ -1,5 +1,8 @@
 """Optimizer, schedule, fold training, and reproducibility."""
 
+import hashlib
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -87,8 +90,8 @@ def tiny_model_cfg():
 
 
 def tiny_cohort(tmp_path, **kw):
-    spec_kw = dict(mci_subjects=4, nc_subjects=3, frames_min=32, frames_max=56,
-                   clip_len=8, height=16, width=16, strength=0.45, rho=0.0,
+    spec_kw = dict(mci=4, nc=3, frames_min=32, frames_max=56,
+                   clip_len=8, hw=16, strength=0.45, rho=0.0,
                    noise=0.02, seed=11)
     spec_kw.update(kw)
     manifest = D.generate_synthetic_cohort(D.CohortSpec(**spec_kw), tmp_path)
@@ -121,6 +124,74 @@ def test_loss_decreases_on_separable_data(tmp_path):
     first = np.mean(result.history[:8])
     last = np.mean(result.history[-8:])
     assert last < first
+
+
+def test_train_fold_pinned_across_epoch_boundaries(tmp_path):
+    # 24 training clips in batches of 8: 7 steps cross two epoch boundaries
+    # and stop one step into the third epoch. Pinned from the serial loop
+    # (float32, x86-64, OpenBLAS 0.3.31); the prefetching loop must match it
+    # bit for bit.
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(),
+                           quick_train_cfg(batch_size=8, max_steps=7))
+    assert result.history == [0.9266002178192139, 0.23625370860099792, 0.4301406145095825,
+                              0.4841199815273285, 0.31956565380096436, 0.525154173374176,
+                              0.8020926713943481]
+    sha = hashlib.sha256()
+    for name, p in result.model.named_parameters():
+        sha.update(name.encode() + b"\0" + p.data.tobytes())
+    assert sha.hexdigest() == "a4643218a04fc5c858bd54a28474aa964d402ca93fe13c40005e7745c9c73237"
+
+
+def _blas_threads():
+    blas = TR._openblas()
+    return None if blas is None else blas[0]()
+
+
+def _watch_steps(monkeypatch):
+    """Patch ``batch_loss`` to record, at each call, how many earlier steps'
+    loss tensors are still alive and the BLAS thread count."""
+    real, refs, seen = TR.batch_loss, [], []
+
+    def watched(*args):
+        seen.append((sum(ref() is not None for ref in refs), _blas_threads()))
+        loss = real(*args)
+        refs.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(TR, "batch_loss", watched)
+    return seen
+
+
+def test_step_graph_is_freed_before_the_next_forward(tmp_path, monkeypatch):
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    seen = _watch_steps(monkeypatch)
+    TR.train_fold(cohort, plan, 0, tiny_model_cfg(), quick_train_cfg(max_steps=4))
+    assert [alive for alive, _ in seen] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_loader_thread_and_blas_threads_end_with_the_fold(truncate, tmp_path, monkeypatch):
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    cfg = quick_train_cfg(max_steps=0, epochs=1)
+    if truncate:   # after the cohort has loaded; every training clip is read once
+        clip = cohort.root / cohort.records[cohort.clips_of(plan.folds[1][0])[0]].clip_path
+        clip.write_bytes(clip.read_bytes()[:-10])
+    seen = _watch_steps(monkeypatch)
+    threads, blas = threading.active_count(), _blas_threads()
+    if truncate:
+        with pytest.raises(ValueError, match=rf"{clip.name}: truncated payload"):
+            TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
+    else:
+        TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
+        assert len(seen) == 6
+    assert threading.active_count() == threads
+    assert _blas_threads() == blas
+    if blas is not None:   # the loader has a core to itself while the fold trains
+        assert {during for _, during in seen} <= {max(1, blas - 1)}
 
 
 def test_train_fold_deterministic(tmp_path):

@@ -21,7 +21,8 @@ import numpy as np
 from mcvv import train as TR
 from mcvv import tubelet as TB
 from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError, write_text_atomic
-from mcvv.data import Cohort, FoldPlan, generate_synthetic_cohort, plan_folds
+from mcvv.data import (Cohort, FoldPlan, TensorFileError, generate_synthetic_cohort,
+                       plan_folds)
 from mcvv.model import (Model, ModelConfig, full_model_gradcheck, load_checkpoint,
                         save_checkpoint)
 from mcvv.tensor import ShapeError
@@ -76,7 +77,10 @@ def _fitted_cohort(data: str, *model_cfgs: ModelConfig) -> Cohort:
     manifest = path / "manifest.csv" if path.is_dir() else path
     if not manifest.exists():
         raise UsageError(f"no manifest at {manifest}")
-    cohort = Cohort(manifest)
+    try:
+        cohort = Cohort(manifest)
+    except ValueError as exc:   # a row that names no known label
+        raise UsageError(str(exc)) from exc
     if not len(cohort):
         raise UsageError(f"{manifest}: no clips")
     shape = cohort.frames(0).shape
@@ -167,7 +171,12 @@ def cmd_eval(args) -> int:
     model_cfg = cfg.model_config()
     cohort = _fitted_cohort(args.data, model_cfg)
     model = Model(model_cfg, seed=cfg.seed)
-    load_checkpoint(model, ckpt)
+    try:
+        load_checkpoint(model, ckpt)
+    except TensorFileError:
+        raise
+    except ValueError as exc:   # weights of another config than config.cfg's
+        raise UsageError(f"{ckpt}: {exc}") from exc
     scores, labels, correct, total = TR.evaluate_subjects(model, cohort,
                                                           cohort.subject_ids())
     report = TR.subject_report(scores, labels, correct, total)
@@ -291,7 +300,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, TensorFileError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

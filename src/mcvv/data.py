@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ CROP_RATIO = 0.875
 SIGNATURE_CYCLES = 2.0
 
 TENSOR_FILE_MAGIC = b"MCVV"
+TENSOR_FILE_MAX_NDIM = 32
 
 
 # -- augmentation -------------------------------------------------------------------
@@ -165,16 +167,31 @@ def write_tensor_file(path: Path | str, arr: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
+class TensorFileError(ValueError):
+    """A tensor file whose bytes do not hold the tensor its header describes."""
+
+
 def read_tensor_file(path: Path | str) -> np.ndarray:
+    """The float32 tensor in ``path``. The header's extents are checked
+    against the file's size before anything is allocated, so a short,
+    padded or corrupt file raises TensorFileError naming ``path``."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TENSOR_FILE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        ndim = int(np.frombuffer(f.read(4), dtype="<u4")[0])
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        if head[:4] != TENSOR_FILE_MAGIC:
+            raise TensorFileError(f"{path}: bad magic {head[:4]!r}")
+        ndim = int.from_bytes(head[4:], "little") if len(head) == 8 else None
+        if ndim is None or ndim > TENSOR_FILE_MAX_NDIM or size < 8 + 4 * ndim:
+            raise TensorFileError(f"{path}: truncated or bad header")
         shape = tuple(int(x) for x in np.frombuffer(f.read(4 * ndim), dtype="<u4"))
+        payload, expected = size - 8 - 4 * ndim, 4 * math.prod(shape)
+        if payload < expected:
+            raise TensorFileError(f"{path}: truncated payload")
+        if payload > expected:
+            raise TensorFileError(f"{path}: {payload - expected} trailing bytes")
         data = np.empty(shape, dtype="<f4")
-        if f.readinto(data) != data.nbytes:
-            raise ValueError(f"{path}: truncated payload")
+        if f.readinto(data) != data.nbytes:   # the file shrank since fstat
+            raise TensorFileError(f"{path}: truncated payload")
     return data.astype(np.float32, copy=False)   # a no-op on little-endian hosts
 
 
@@ -291,9 +308,15 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
 
 
 def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
+    """The manifest's rows; a label outside `LABEL_IDS` raises ValueError
+    naming the manifest, the line and the label."""
     records = []
     with open(manifest_path, newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        for row in reader:
+            if row["label"] not in LABEL_IDS:
+                raise ValueError(f"{manifest_path}, line {reader.line_num}: unknown label "
+                                 f"{row['label']!r}, expected one of {sorted(LABEL_IDS)}")
             records.append(ClipRecord(
                 subject_id=row["subject_id"],
                 clip_path=row["clip_path"],

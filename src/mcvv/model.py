@@ -3,9 +3,10 @@
 `ModelConfig` holds the clip geometry and the parts' own configs, a
 `TubeletConfig` and an `EncoderConfig`. The model holds every learnable tensor
 behind stable dotted names (for the optimizer, checkpoints, and gradient
-verification) and exposes a batched forward: B clips [B,T,H,W,C] -> logits
-[B, 2] over `data.LABEL_NAMES` plus the embeddings [B, E] feeding the
-discriminator loss, as one graph.
+verification) and exposes a batched forward: the cube matrix [B, N, cube] of
+B clips -> logits [B, 2] over `data.LABEL_NAMES` plus the embeddings [B, E]
+feeding the discriminator loss, as one graph. `Model.cubes` cuts clips into
+that matrix; callers do it as data preparation, apart from the forward.
 """
 
 from __future__ import annotations
@@ -62,17 +63,22 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def forward(self, clips) -> tuple[Tensor, Tensor]:
-        """B clips ([B,T,H,W,C], or a sequence of [T,H,W,C] clips) ->
-        (logits [B, 2], discriminator embeddings [B, E])."""
-        cubes = TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype)
+    def cubes(self, clips, batch: int | None = None) -> Tensor:
+        """B clips ([B,T,H,W,C], or an iterable of [T,H,W,C] clips, with
+        ``batch`` giving B where it has no length) -> the [B, N, cube]
+        constant the forward takes, in the model's cubes and dtype."""
+        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch)
+
+    def forward(self, cubes: Tensor) -> tuple[Tensor, Tensor]:
+        """[B, N, cube] cubes (see `cubes`) -> (logits [B, 2],
+        discriminator embeddings [B, E])."""
         tokens = TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
         feature = E.encoder_forward(tokens, self.counts[0], self.cfg.encoder, self.encoder)
         return H.mc_features(feature, self.head)
 
-    def clip_probability(self, clips) -> np.ndarray:
-        """Probability of class 1 for each of B clips, as a [B] array."""
-        logits, _ = self.forward(clips)
+    def clip_probability(self, cubes: Tensor) -> np.ndarray:
+        """Probability of class 1 for each of B clips' cubes, as a [B] array."""
+        logits, _ = self.forward(cubes)
         return T.softmax(logits, axis=-1).data[:, 1]
 
     # -- parameter registry ------------------------------------------------------------
@@ -171,15 +177,15 @@ def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
     cfg = gradcheck_config()
     model = Model(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
-    clips = [rng.random((cfg.clip_len, cfg.height, cfg.width, cfg.channels))
-             for _ in range(batch)]
+    cubes = model.cubes(rng.random((batch, cfg.clip_len, cfg.height, cfg.width,
+                                    cfg.channels)))
     labels = np.array([i % 2 for i in range(batch)])
     state = L.AdCorreState()
     L.update_confusion(state, rng.integers(0, 2, 12), rng.integers(0, 2, 12))
     params = L.HPLossParams()
 
     def f(_):
-        logits, emb = model.forward(clips)
+        logits, emb = model.forward(cubes)
         return L.hp_loss(logits, labels, emb, state, params, update_state=False)
 
     err = T.gradcheck(f, model.parameters(), steps=steps)

@@ -5,9 +5,11 @@ loss from the `loss_params` view. A fold trains on every other fold's
 subjects and evaluates on its own; subject disjointness is asserted on every
 run. The confusion state behind the discriminator attention resets at each
 epoch boundary. Seeds fix fold assignment, weight init, batch shuffling, and
-augmentation draws, so a rerun reproduces its reports byte for byte. One
-loader thread reads and augments the next batch while the current one
-trains.
+augmentation draws, so a rerun reproduces its reports byte for byte.
+
+Training and evaluation both read ahead: one loader thread reads the next
+batch's clips (augmenting them when training) and cuts them into the cube
+matrix the model takes, while the current batch runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,15 +76,15 @@ def cyclic_lr(step: int, base_lr: float, max_lr: float, cycle_len: int) -> float
 # -- per-batch loss ------------------------------------------------------------------
 
 
-def batch_loss(model: Model, clips: list[np.ndarray], labels: np.ndarray,
+def batch_loss(model: Model, cubes: T.Tensor, labels: np.ndarray,
                state: L.AdCorreState, params: L.HPLossParams):
-    """Forward the batch and build the run's loss (``RunConfig.loss_params``)
-    as one scalar graph."""
-    logits_b, emb_b = model.forward(clips)
+    """Forward the batch's cubes and build the run's loss
+    (``RunConfig.loss_params``) as one scalar graph."""
+    logits_b, emb_b = model.forward(cubes)
     return L.hp_loss(logits_b, labels, emb_b, state, params)
 
 
-def train_step(model: Model, moments: AdamMoments, clips: list[np.ndarray],
+def train_step(model: Model, moments: AdamMoments, cubes: T.Tensor,
                labels: np.ndarray, state: L.AdCorreState, params: L.HPLossParams,
                lr: float) -> float:
     """One Adam step on the batch's loss; returns the loss. The step's graph
@@ -90,7 +92,7 @@ def train_step(model: Model, moments: AdamMoments, clips: list[np.ndarray],
     forward builds another."""
     weights = model.parameters()
     T.zero_grads(weights)
-    loss = batch_loss(model, clips, labels, state, params)
+    loss = batch_loss(model, cubes, labels, state, params)
     T.backward(loss)
     adam_step(weights, [p.grad for p in weights], moments, lr)
     return loss.item()
@@ -121,18 +123,25 @@ class KFoldResult:
 def evaluate_subjects(model: Model, cohort: Cohort,
                       subjects: Sequence[str]) -> tuple[dict, dict, int, int]:
     """Un-augmented clip probabilities aggregated per subject; also counts
-    argmax-correct clips."""
+    argmax-correct clips. The loader thread reads subject k+1's clips and
+    cuts its cubes while subject k runs forward."""
+    def load(subject):
+        idxs = cohort.clips_of(subject)
+        # clip by clip, so each raw clip dies once partitioned
+        return subject, idxs, model.cubes((cohort.frames(i) for i in idxs), len(idxs))
+
     scores: dict[str, float] = {}
     labels: dict[str, int] = {}
     correct = total = 0
-    for subject in subjects:
-        idxs = cohort.clips_of(subject)
-        probs = model.clip_probability([cohort.frames(i) for i in idxs])
-        true = np.array([cohort.records[i].label for i in idxs])
-        correct += int(np.sum((probs >= 0.5) == true))
-        total += len(idxs)
-        scores[subject], _ = M.aggregate_subject(probs)
-        labels[subject] = cohort.subject_label(subject)
+    with _loader() as loader:
+        for subject, idxs, cubes in _read_ahead(loader, load, subjects):
+            probs = model.clip_probability(cubes)
+            del cubes   # freed before the loader starts the subject after next
+            true = np.array([cohort.records[i].label for i in idxs])
+            correct += int(np.sum((probs >= 0.5) == true))
+            total += len(idxs)
+            scores[subject], _ = M.aggregate_subject(probs)
+            labels[subject] = cohort.subject_label(subject)
     return scores, labels, correct, total
 
 
@@ -170,17 +179,15 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     batches_per_epoch = max(1, len(train_idx) // cfg.batch_size)
     cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch)
 
-    # Imported here, so that commands which never train do not load it.
-    from concurrent.futures import ThreadPoolExecutor
-
     history: list[float] = []
-    with _blas_thread_lent(), ThreadPoolExecutor(max_workers=1) as loader:
-        batches = _batches(cohort, train_idx, cfg, shuffle_rng, augment_rng, loader)
-        for step, (new_epoch, labels, clips) in enumerate(batches):
+    with _loader() as loader:
+        batches = _batches(model, cohort, train_idx, cfg, shuffle_rng, augment_rng, loader)
+        for step, (new_epoch, labels, cubes) in enumerate(batches):
             if new_epoch:
                 state.reset()
             lr = cyclic_lr(step, cfg.base_lr, cfg.max_lr, cycle)
-            history.append(train_step(model, moments, clips, labels, state, loss_params, lr))
+            history.append(train_step(model, moments, cubes, labels, state, loss_params, lr))
+            del cubes   # freed before the loader starts the batch after next
 
     scores, labels_by_subject, correct, total = evaluate_subjects(model, cohort, eval_subjects)
     report = subject_report(scores, labels_by_subject, correct, total, fold=fold_id)
@@ -189,23 +196,24 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
                       clip_correct=correct, clip_total=total)
 
 
-def _batches(cohort: Cohort, train_idx: list[int], cfg: RunConfig,
+def _batches(model: Model, cohort: Cohort, train_idx: list[int], cfg: RunConfig,
              shuffle_rng: np.random.Generator, augment_rng: np.random.Generator,
-             loader) -> Iterator[tuple[bool, np.ndarray, list[np.ndarray]]]:
-    """A fold's training batches as ``(new_epoch, labels, clips)``, one per
+             loader) -> Iterator[tuple[bool, np.ndarray, T.Tensor]]:
+    """A fold's training batches as ``(new_epoch, labels, cubes)``, one per
     step, across epoch boundaries, ending after ``cfg.max_steps`` of them
     (every epoch's when 0), so no batch is loaded past the last step.
 
-    ``loader``, an executor with one worker, reads and augments batch i+1
-    while the caller trains on batch i. It runs loads in the order they are
-    submitted, so ``augment_rng`` is drawn in the order of a serial loop, and
-    a load's error reaches the caller, message intact, through ``result()``.
+    ``loader`` reads, augments and partitions batch i+1 while the caller
+    trains on batch i (see `_read_ahead`). Clips are augmented in the order
+    of a serial loop, so ``augment_rng`` is drawn as it would be there.
     """
-    def load(new_epoch, chunk):
-        # clip by clip, so each raw clip dies once augmented
-        clips = [augment_clip(cohort.frames(i), augment_rng) if cfg.augment
-                 else cohort.frames(i) for i in chunk]
-        return new_epoch, np.array([cohort.records[i].label for i in chunk]), clips
+    def load(job):
+        new_epoch, chunk = job
+        clips = (augment_clip(cohort.frames(i), augment_rng) if cfg.augment
+                 else cohort.frames(i) for i in chunk)
+        # clip by clip, so each raw clip dies once partitioned
+        cubes = model.cubes(clips, len(chunk))
+        return new_epoch, np.array([cohort.records[i].label for i in chunk]), cubes
 
     def chunks():
         for _ in range(cfg.epochs):
@@ -217,9 +225,17 @@ def _batches(cohort: Cohort, train_idx: list[int], cfg: RunConfig,
                     yield new_epoch, chunk
                     new_epoch = False
 
+    return _read_ahead(loader, load, islice(chunks(), cfg.max_steps or None))
+
+
+def _read_ahead(loader, load: Callable, jobs: Iterable) -> Iterator:
+    """``load(job)`` for each of ``jobs``, in order, with job i+1 submitted to
+    ``loader`` before job i's result is yielded. With one worker, loads run
+    one at a time in the order of ``jobs``, and a load's error reaches the
+    caller, message intact, through ``result()``."""
     in_flight = None
-    for new_epoch, chunk in islice(chunks(), cfg.max_steps or None):
-        submitted = loader.submit(load, new_epoch, chunk)
+    for job in jobs:
+        submitted = loader.submit(load, job)
         if in_flight is not None:
             yield in_flight.result()
         in_flight = submitted
@@ -227,10 +243,21 @@ def _batches(cohort: Cohort, train_idx: list[int], cfg: RunConfig,
         yield in_flight.result()
 
 
+@contextmanager
+def _loader():
+    """One loader thread for `_read_ahead`, with BLAS lending it a core; both
+    end with the block."""
+    # Imported here, so that commands which neither train nor evaluate do not load it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _blas_thread_lent(), ThreadPoolExecutor(max_workers=1) as loader:
+        yield loader
+
+
 def _openblas():
     """Thread-count getter and setter of the OpenBLAS that numpy bundles, or
     None when numpy links another BLAS."""
-    import ctypes   # here, so that commands which never train do not load it
+    import ctypes   # here, so that commands which neither train nor evaluate do not load it
 
     # Symbol lookup through a library's handle also searches the libraries
     # it links, and numpy's core extension links the bundled OpenBLAS.

@@ -2,10 +2,11 @@
 and embed them.
 
 Shapes carry a leading batch axis: B clips [B,T,H,W,C] -> cubes [B, N, cube]
--> tokens [B, N+1, d], with N = n_t * n_h * n_w. Token order within a clip is
-time-major: index = tau * n_h * n_w + row * n_w + col, with each cube
+-> tokens [B, N+1, d], with N = n_t * n_h * n_w. Token order within a clip
+is time-major: index = tau * n_h * n_w + row * n_w + col, with each cube
 flattened row-major over (t, h, w, C). Trailing frames/pixels that do not
-fill a whole cube are discarded.
+fill a whole cube are discarded. Partitioning is data preparation, done
+before the forward; embedding is the forward's first step.
 """
 
 from __future__ import annotations
@@ -37,30 +38,45 @@ def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tu
     return n_t, n_h, n_w
 
 
-def tubelet_partition(clips, cfg: TubeletConfig, dtype=None) -> Tensor:
+def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
+                      batch: int | None = None) -> Tensor:
     """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant leaf).
 
-    ``clips`` is a [B,T,H,W,C] array or a sequence of B equally shaped
-    [T,H,W,C] clips. Each clip's cubes are written straight into the output,
-    so a sequence is never stacked into one array first. The output dtype is
-    ``dtype``, or the clips' own when None.
+    ``clips`` is a [B,T,H,W,C] array or an iterable of B equally shaped
+    [T,H,W,C] clips; ``batch`` gives B where the iterable has no length.
+    Clips are taken one at a time, and each clip's cubes are written into
+    its slot of the output before the next is taken, so an iterable that
+    reads clips as it yields them never holds a batch of raw clips. The
+    output dtype is ``dtype``, or the first clip's when None.
     """
-    clips = [np.asarray(c) for c in clips]
-    shapes = {c.shape for c in clips}
-    if len(shapes) != 1 or len(next(iter(shapes))) != 4:
-        raise T.ShapeError(f"clips must be B >= 1 clips of one shape [T,H,W,C], "
-                           f"got shapes {sorted(shapes)}")
-    frames, height, width, channels = clips[0].shape
-    n_t, n_h, n_w = token_counts(cfg, frames, height, width)
-    if dtype is None:
-        dtype = np.result_type(*clips)
-    out = np.empty((len(clips), n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels),
-                   dtype=dtype)
-    for clip, cubes in zip(clips, out):
+    if batch is None:
+        batch = len(clips)
+    if batch < 1:
+        raise T.ShapeError(f"a batch needs B >= 1 clips, got B = {batch}")
+    out = shape = None
+    taken = 0
+    for clip in clips:
+        clip = np.asarray(clip)
+        if out is None:
+            shape = clip.shape
+            if len(shape) != 4:
+                raise T.ShapeError(f"clips must be [T,H,W,C], got shape {shape}")
+            frames, height, width, channels = shape
+            n_t, n_h, n_w = token_counts(cfg, frames, height, width)
+            out = np.empty((batch, n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels),
+                           dtype=clip.dtype if dtype is None else dtype)
+        elif clip.shape != shape:
+            raise T.ShapeError(f"clip {taken} has shape {clip.shape}, clip 0 {shape}")
+        if taken == batch:
+            raise T.ShapeError(f"more than the batch of {batch} clips")
         region = clip[:n_t * cfg.t, :n_h * cfg.h, :n_w * cfg.w, :]
         region = region.reshape(n_t, cfg.t, n_h, cfg.h, n_w, cfg.w, channels)
-        cubes.reshape(n_t, n_h, n_w, cfg.t, cfg.h, cfg.w, channels)[...] = \
+        out[taken].reshape(n_t, n_h, n_w, cfg.t, cfg.h, cfg.w, channels)[...] = \
             region.transpose(0, 2, 4, 1, 3, 5, 6)
+        taken += 1
+        del clip, region   # before the iterable reads the next clip
+    if taken != batch:
+        raise T.ShapeError(f"{taken} clips for a batch of {batch}")
     return Tensor(out)
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,75 @@ def test_eval_rejects_bad_checkpoint_config(dataset, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
     assert "config.cfg" in lines[0] and "heads=3" in lines[0]
+
+
+@pytest.fixture(scope="module")
+def checkpoint(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    assert cli.main(["train", "--data", str(dataset), "--out", str(out)] + TINY) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "kfold", "ablate", "eval"])
+def test_unknown_manifest_label_is_one_line_usage_error(command, dataset, checkpoint,
+                                                        tmp_path, capsys):
+    # the manifest names no clip that exists: a read would be an i/o error
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.csv").write_text("subject_id,clip_path,label,clip_index\n"
+                                       "a,clips/a_0.mcvv,NC,0\n"
+                                       "b,clips/b_0.mcvv,XYZ,0\n")
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "out")] + TINY
+    assert cli.main(argv) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert "manifest.csv, line 3: unknown label 'XYZ'" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_checkpoint_of_another_config_is_one_line_usage_error(checkpoint, dataset,
+                                                                  tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(checkpoint, ckpt)
+    cfg = RunConfig.from_file(ckpt / "config.cfg")
+    cfg.apply({"d": "32", "mlp_hidden": "32"})
+    cfg.write(ckpt / "config.cfg")
+    rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--out", str(tmp_path / "eval.json")])
+    assert rc == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: {ckpt}: ")
+    assert "'embed.proj'" in lines[0]
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_clip_truncated_after_the_first_is_one_line_io_error(command, dataset, checkpoint,
+                                                            tmp_path, capsys):
+    # the first clip, read before the run starts, stays whole; the next one
+    # is first read on the loader thread
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    with open(data / "manifest.csv", newline="") as fh:
+        paths = [row["clip_path"] for row in csv.DictReader(fh)]
+    for rel in paths[1:]:
+        clip = data / rel
+        clip.write_bytes(clip.read_bytes()[:-10])
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                "--out", str(out)]
+    else:
+        argv = ["train", "--data", str(data), "--out", str(out)] + TINY
+    assert cli.main(argv) == cli.EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+    assert re.search(r"\.mcvv: truncated payload$", lines[0]), lines[0]
+    assert not out.exists()
 
 
 def test_gen_data_writes_manifest(dataset):

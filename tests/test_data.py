@@ -1,6 +1,7 @@
 """Augmentation, fold planning, tensor files, and cohort generation and loading."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,75 @@ def test_tensor_file_header_layout(tmp_path):
     assert len(raw) == 16 + 6 * 4
 
 
+# Everything a read may allocate besides the payload: file buffer, header,
+# shape tuple, exception message.
+READ_OVERHEAD_BYTES = 64 * 1024
+
+
+def test_tensor_file_trailing_bytes(tmp_path):
+    path = tmp_path / "long.mcvv"
+    D.write_tensor_file(path, np.ones((2, 3), dtype=np.float32))
+    path.write_bytes(path.read_bytes() + b"\x00" * 3)
+    with pytest.raises(D.TensorFileError, match=re.escape(f"{path}: 3 trailing bytes")):
+        D.read_tensor_file(path)
+
+
+@pytest.mark.parametrize("raw", [
+    b"MCVV",                                                    # no ndim
+    b"MCVV\x02\x00\x00\x00\x01\x00\x00\x00",                    # one of two extents
+    b"MCVV\xff\xff\xff\xff",                                    # ndim 2**32 - 1
+    b"MCVV\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff",    # a 64 EiB payload
+])
+def test_tensor_file_header_checked_against_file_size(raw, tmp_path):
+    path = tmp_path / "head.mcvv"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(D.TensorFileError, match=re.escape(str(path))):
+            D.read_tensor_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < READ_OVERHEAD_BYTES
+
+
+def _u4(value: int) -> bytes:
+    return value.to_bytes(4, "little")
+
+
+@st.composite
+def _tensor_file_bytes(draw):
+    """Arbitrary bytes, or a well-formed magic followed by an ndim, extents
+    and a payload that may or may not agree with each other."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    extent = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+    ndim = draw(st.integers(0, 5) | st.integers(0, 2**32 - 1))
+    extents = draw(st.lists(extent, max_size=min(ndim, 6)))
+    return (D.TENSOR_FILE_MAGIC + _u4(ndim) + b"".join(_u4(e) for e in extents)
+            + draw(st.binary(max_size=4 * 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_tensor_file_bytes())
+def test_tensor_file_fuzz_raises_only_value_error_within_file_size(raw, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mcvv"
+    path.write_bytes(raw)
+    tracemalloc.start()
+    try:
+        try:
+            arr = D.read_tensor_file(path)
+        except ValueError:
+            arr = None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(raw) + READ_OVERHEAD_BYTES
+    if arr is not None:
+        ndim = int.from_bytes(raw[4:8], "little")
+        assert arr.ndim == ndim and 8 + 4 * ndim + arr.nbytes == len(raw)
+
+
 # -- cohort generation -----------------------------------------------------------------------------
 
 
@@ -336,6 +406,15 @@ def test_cohort_subject_index_keeps_record_order(tmp_path):
     assert cohort.subject_label("b") == D.LABEL_MCI and cohort.subject_label("a") == D.LABEL_NC
     with pytest.raises(KeyError):
         cohort.subject_label("missing")
+
+
+def test_manifest_unknown_label_names_manifest_line_and_label(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("subject_id,clip_path,label,clip_index\n"
+                        "a,clips/a_0.mcvv,NC,0\n"
+                        "b,clips/b_0.mcvv,XYZ,0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}, line 3: unknown label 'XYZ'")):
+        D.Cohort(manifest)
 
 
 def test_cohort_spec_validation():

@@ -21,7 +21,7 @@ def tiny_cfg(t=4, d=16, mlp_hidden=16, multi_branch=True):
 def test_forward_shapes_mc():
     model = Model(tiny_cfg(), seed=0)
     clip = np.random.default_rng(1).random((8, 16, 16, 3)).astype(np.float32)
-    logits, emb = [out[0] for out in model.forward(clip[None])]
+    logits, emb = [out[0] for out in model.forward(model.cubes(clip[None]))]
     assert logits.shape == (2,)
     assert emb.shape == (model.head.embedding_dim,)
 
@@ -29,7 +29,7 @@ def test_forward_shapes_mc():
 def test_forward_shapes_nomc():
     model = Model(tiny_cfg(multi_branch=False), seed=0)
     clip = np.random.default_rng(1).random((8, 16, 16, 3)).astype(np.float32)
-    logits, emb = [out[0] for out in model.forward(clip[None])]
+    logits, emb = [out[0] for out in model.forward(model.cubes(clip[None]))]
     assert logits.shape == (2,)
     assert emb.shape == (model.head.embedding_dim,)
 
@@ -37,8 +37,8 @@ def test_forward_shapes_nomc():
 def test_forward_deterministic():
     model = Model(tiny_cfg(), seed=3)
     clip = np.random.default_rng(2).random((8, 16, 16, 3)).astype(np.float32)
-    a = model.forward(clip[None])[0].data
-    b = model.forward(clip[None])[0].data
+    a = model.forward(model.cubes(clip[None]))[0].data
+    b = model.forward(model.cubes(clip[None]))[0].data
     np.testing.assert_array_equal(a, b)
 
 
@@ -62,26 +62,26 @@ def test_temporal_dim_variants():
         model = Model(tiny_cfg(t=t), seed=0)
         assert model.counts[0] == n_t
         clip = np.random.default_rng(0).random((8, 16, 16, 3)).astype(np.float32)
-        assert model.forward(clip[None])[0][0].shape == (2,)
+        assert model.forward(model.cubes(clip[None]))[0][0].shape == (2,)
 
 
 def test_clip_probability_range():
     model = Model(tiny_cfg(), seed=0)
     clip = np.random.default_rng(4).random((8, 16, 16, 3)).astype(np.float32)
-    p = model.clip_probability(clip[None])[0]
+    p = model.clip_probability(model.cubes(clip[None]))[0]
     assert 0.0 <= p <= 1.0
 
 
 def test_checkpoint_roundtrip(tmp_path):
     model = Model(tiny_cfg(), seed=7)
     clip = np.random.default_rng(5).random((8, 16, 16, 3)).astype(np.float32)
-    before = model.forward(clip[None])[0].data.copy()
+    before = model.forward(model.cubes(clip[None]))[0].data.copy()
 
     MD.save_checkpoint(model, tmp_path)
     fresh = Model(tiny_cfg(), seed=99)
-    assert not np.allclose(fresh.forward(clip[None])[0].data, before)
+    assert not np.allclose(fresh.forward(fresh.cubes(clip[None]))[0].data, before)
     MD.load_checkpoint(fresh, tmp_path)
-    np.testing.assert_array_equal(fresh.forward(clip[None])[0].data, before)
+    np.testing.assert_array_equal(fresh.forward(fresh.cubes(clip[None]))[0].data, before)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -144,18 +144,18 @@ def test_batched_forward_matches_per_clip(multi_branch):
     cfg = model.cfg
     rng = np.random.default_rng(11)
     clips = rng.random((4, cfg.clip_len, cfg.height, cfg.width, cfg.channels)).astype(np.float32)
-    logits, emb = model.forward(clips)
+    logits, emb = model.forward(model.cubes(clips))
     assert logits.shape == (4, 2)
     assert emb.shape == (4, model.head.embedding_dim)
     for j, clip in enumerate(clips):
-        one_logits, one_emb = model.forward(clip[None])
+        one_logits, one_emb = model.forward(model.cubes(clip[None]))
         np.testing.assert_allclose(logits.data[j], one_logits.data[0], rtol=0, atol=1e-5)
         np.testing.assert_allclose(emb.data[j], one_emb.data[0], rtol=0, atol=1e-5)
 
     j = 2
     changed = clips.copy()
     changed[j] = rng.random(changed[j].shape)
-    other = model.forward(changed)[0].data
+    other = model.forward(model.cubes(changed))[0].data
     keep = [i for i in range(len(clips)) if i != j]
     np.testing.assert_array_equal(other[keep], logits.data[keep])
     assert not np.allclose(other[j], logits.data[j])

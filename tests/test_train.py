@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mcvv import data as D
+from mcvv import metrics as M
 from mcvv import train as TR
 from mcvv.config import LOSS_MODES, RunConfig
 from mcvv.encoder import EncoderConfig
@@ -265,3 +266,52 @@ def test_evaluation_ignores_augmentation(tmp_path):
     a = TR.evaluate_subjects(model, cohort, subjects)
     b = TR.evaluate_subjects(model, cohort, subjects)
     assert a[0] == b[0]
+
+
+def test_evaluation_matches_a_serial_loop(tmp_path):
+    cohort = tiny_cohort(tmp_path)
+    model = Model(tiny_model_cfg(), seed=0)
+    subjects = cohort.subject_ids()
+    scores, labels, correct, total = TR.evaluate_subjects(model, cohort, subjects)
+    expected, expected_correct = {}, 0
+    for subject in subjects:
+        idxs = cohort.clips_of(subject)
+        probs = model.clip_probability(model.cubes([cohort.frames(i) for i in idxs]))
+        expected_correct += int(np.sum((probs >= 0.5)
+                                       == [cohort.records[i].label for i in idxs]))
+        expected[subject], _ = M.aggregate_subject(probs)
+    assert list(scores) == subjects
+    assert scores == expected   # bit for bit
+    assert labels == {s: cohort.subject_label(s) for s in subjects}
+    assert (correct, total) == (expected_correct, len(cohort))
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_loader_thread_and_blas_threads_end_with_the_evaluation(truncate, tmp_path,
+                                                                monkeypatch):
+    cohort = tiny_cohort(tmp_path)
+    model = Model(tiny_model_cfg(), seed=0)
+    subjects = cohort.subject_ids()
+    if truncate:   # a clip of the third subject, read while the second is scored
+        clip = cohort.root / cohort.records[cohort.clips_of(subjects[2])[-1]].clip_path
+        clip.write_bytes(clip.read_bytes()[:-10])
+    seen = []
+    real = Model.clip_probability
+
+    def watched(self, cubes):
+        seen.append(_blas_threads())
+        return real(self, cubes)
+
+    monkeypatch.setattr(Model, "clip_probability", watched)
+    threads, blas = threading.active_count(), _blas_threads()
+    if truncate:
+        with pytest.raises(D.TensorFileError, match=rf"{clip.name}: truncated payload"):
+            TR.evaluate_subjects(model, cohort, subjects)
+        assert len(seen) == 2
+    else:
+        TR.evaluate_subjects(model, cohort, subjects)
+        assert len(seen) == len(subjects)
+    assert threading.active_count() == threads
+    assert _blas_threads() == blas
+    if blas is not None:   # the loader has a core to itself while subjects are scored
+        assert set(seen) <= {max(1, blas - 1)}

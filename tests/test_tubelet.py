@@ -1,5 +1,7 @@
 """Cube tokenization: counts vs brute force, partition bijection, embedding."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,56 @@ def test_partition_time_major_order():
     for idx in range(12):
         tau = idx // 4
         assert set(np.unique(out.data[idx])) == {2 * tau, 2 * tau + 1}
+
+
+def _clips(n, shape=(8, 8, 8, 3), seed=5):
+    rng = np.random.default_rng(seed)
+    return [rng.random(shape).astype(np.float32) for _ in range(n)]
+
+
+def test_partition_from_generator_equals_list_and_array():
+    cfg = TB.TubeletConfig(t=4, h=4, w=4)
+    clips = _clips(3)
+    from_list = TB.tubelet_partition(clips, cfg)
+    from_generator = TB.tubelet_partition((c for c in clips), cfg, batch=3)
+    from_array = TB.tubelet_partition(np.stack(clips), cfg)
+    for other in (from_generator, from_array):
+        assert other.dtype == from_list.dtype == np.float32
+        np.testing.assert_array_equal(other.data, from_list.data)
+    as64 = TB.tubelet_partition((c for c in clips), cfg, np.float64, batch=3)
+    np.testing.assert_array_equal(as64.data, from_list.data.astype(np.float64))
+
+
+def test_partition_takes_one_clip_at_a_time():
+    # when a clip is read, every clip before it has been partitioned and dropped
+    refs = []
+
+    def reading():
+        rng = np.random.default_rng(6)
+        for _ in range(4):
+            assert all(ref() is None for ref in refs)
+            clip = rng.random((8, 8, 8, 3))
+            refs.append(weakref.ref(clip))
+            yield clip
+            del clip
+
+    TB.tubelet_partition(reading(), TB.TubeletConfig(t=4, h=4, w=4), batch=4)
+    assert len(refs) == 4
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_partition_rejects_mixed_shapes(as_generator):
+    clips = _clips(2) + _clips(1, shape=(8, 8, 4, 3))
+    source = (c for c in clips) if as_generator else clips
+    with pytest.raises(T.ShapeError, match=r"clip 2 has shape \(8, 8, 4, 3\)"):
+        TB.tubelet_partition(source, TB.TubeletConfig(t=4, h=4, w=4), batch=3)
+
+
+@pytest.mark.parametrize("n,batch", [(2, 3), (4, 3), (0, 0)])
+def test_partition_rejects_a_clip_count_other_than_the_batch(n, batch):
+    with pytest.raises(T.ShapeError):
+        TB.tubelet_partition((c for c in _clips(n)), TB.TubeletConfig(t=4, h=4, w=4),
+                             batch=batch)
 
 
 def _embed_setup(dtype=np.float64, requires_grad=False):

@@ -3,7 +3,8 @@
 Subcommands: gen-data, train, kfold, eval, gradcheck, ablate. Every run
 config key is a flag; a --config file supplies the base values and flags
 override it. Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 I/O error.
+3 I/O error. The checks live with the config, data and checkpoint code;
+`main` only maps their errors to exit codes.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from mcvv import train as TR
-from mcvv import tubelet as TB
 from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError, write_text_atomic
-from mcvv.data import (Cohort, FoldPlan, TensorFileError, generate_synthetic_cohort,
+from mcvv.data import (Cohort, DataError, TensorFileError, generate_synthetic_cohort,
                        plan_folds)
-from mcvv.model import (Model, ModelConfig, full_model_gradcheck, load_checkpoint,
-                        save_checkpoint)
-from mcvv.tensor import ShapeError
+from mcvv.model import Model, full_model_gradcheck, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,51 +66,6 @@ def _checked(cfg: RunConfig, check=RunConfig.validate, source: str = "") -> RunC
     return cfg
 
 
-def _fitted_cohort(data: str, *model_cfgs: ModelConfig) -> Cohort:
-    """The cohort at ``data`` once its clips cut into the cubes each of
-    ``model_cfgs`` embeds: the same channels and token counts, so trailing
-    frames and pixels that fill no cube may differ. The first clip stands
-    for the rest."""
-    path = Path(data)
-    manifest = path / "manifest.csv" if path.is_dir() else path
-    if not manifest.exists():
-        raise UsageError(f"no manifest at {manifest}")
-    try:
-        cohort = Cohort(manifest)
-    except ValueError as exc:   # a row that names no known label
-        raise UsageError(str(exc)) from exc
-    if not len(cohort):
-        raise UsageError(f"{manifest}: no clips")
-    shape = cohort.frames(0).shape
-    for m in model_cfgs:
-        if not _fits(shape, m):
-            raise UsageError(f"{cohort.root / cohort.records[0].clip_path}: clip shape "
-                             f"{shape} does not fit a model of "
-                             f"{(m.clip_len, m.height, m.width, m.channels)} clips in "
-                             f"{m.tubelet.t}x{m.tubelet.h}x{m.tubelet.w} cubes")
-    return cohort
-
-
-def _fits(shape: tuple, model_cfg: ModelConfig) -> bool:
-    """Whether a clip of ``shape`` yields the model's channels and token counts."""
-    if len(shape) != 4 or shape[3] != model_cfg.channels:
-        return False
-    frames, height, width, _ = shape
-    expected = TB.token_counts(model_cfg.tubelet, model_cfg.clip_len,
-                               model_cfg.height, model_cfg.width)
-    try:
-        return TB.token_counts(model_cfg.tubelet, frames, height, width) == expected
-    except ShapeError:   # too small for even one cube
-        return False
-
-
-def _plan(cohort: Cohort, cfg: RunConfig) -> FoldPlan:
-    try:
-        return plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
-    except ValueError as exc:
-        raise UsageError(f"{cohort.manifest_path}: {exc}") from exc
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -132,8 +85,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     model_cfg = cfg.model_config()
-    cohort = _fitted_cohort(args.data, model_cfg)
-    plan = _plan(cohort, cfg)
+    cohort = Cohort(args.data)
+    cohort.check_fits(model_cfg, l_fold=cfg.l_fold)
+    plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
     if not 0 <= args.fold < plan.k:
         raise UsageError(f"fold {args.fold} out of range (k={plan.k})")
     result = TR.train_fold(cohort, plan, args.fold, model_cfg, cfg)
@@ -150,8 +104,8 @@ def cmd_train(args) -> int:
 def cmd_kfold(args) -> int:
     cfg = _resolve_config(args)
     model_cfg = cfg.model_config()
-    cohort = _fitted_cohort(args.data, model_cfg)
-    _plan(cohort, cfg)
+    cohort = Cohort(args.data)
+    cohort.check_fits(model_cfg, l_fold=cfg.l_fold)
     result = TR.run_kfold(cohort, model_cfg, cfg)
     payload = {
         "config": asdict(cfg),
@@ -169,14 +123,10 @@ def cmd_eval(args) -> int:
     cfg_path = ckpt / "config.cfg"
     cfg = _checked(RunConfig.from_file(cfg_path), source=f"{cfg_path}: ")
     model_cfg = cfg.model_config()
-    cohort = _fitted_cohort(args.data, model_cfg)
+    cohort = Cohort(args.data)
+    cohort.check_fits(model_cfg)
     model = Model(model_cfg, seed=cfg.seed)
-    try:
-        load_checkpoint(model, ckpt)
-    except TensorFileError:
-        raise
-    except ValueError as exc:   # weights of another config than config.cfg's
-        raise UsageError(f"{ckpt}: {exc}") from exc
+    load_checkpoint(model, ckpt)
     scores, labels, correct, total = TR.evaluate_subjects(model, cohort,
                                                           cohort.subject_ids())
     report = TR.subject_report(scores, labels, correct, total)
@@ -198,8 +148,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _ablate_cell(cell: RunConfig, manifest: Path, seeds: int) -> dict:
-    cohort = Cohort(manifest)
+def _ablate_cell(cell: RunConfig, cohort: Cohort, seeds: int) -> dict:
     subject_accs, clip_accs, f1s = [], [], []
     for seed in range(seeds):
         cfg = replace(cell, seed=seed)
@@ -227,9 +176,9 @@ def cmd_ablate(args) -> int:
              for loss in LOSS_MODES]
     for cell in cells:
         _checked(cell)   # each cell's head and loss must fit the other keys too
-    cohort = _fitted_cohort(args.data, *(cell.model_config() for cell in cells))
-    _plan(cohort, cfg)
-    jobs = [(cell, cohort.manifest_path, args.seeds) for cell in cells]
+    cohort = Cohort(args.data)
+    cohort.check_fits(*(cell.model_config() for cell in cells), l_fold=cfg.l_fold)
+    jobs = [(cell, cohort, args.seeds) for cell in cells]
     if args.workers > 1:
         with Pool(args.workers) as pool:
             rows = pool.starmap(_ablate_cell, jobs)
@@ -297,7 +246,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DataError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, TensorFileError) as exc:

@@ -3,7 +3,8 @@
 Covers clip augmentation, subject-disjoint fold planning, and a generator
 for imbalanced synthetic cohorts where one class carries a planted
 oscillating patch. Clips live on disk as raw little-endian float32 tensors
-plus a CSV manifest.
+plus a CSV manifest. `Cohort` decides whether a manifest and its clips can
+make a run, and raises DataError, naming the file at fault, when they cannot.
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+from mcvv import tubelet as TB
+from mcvv.tensor import ShapeError
+
+if TYPE_CHECKING:   # model imports this module
+    from mcvv.model import ModelConfig
 
 LABEL_NC = 0
 LABEL_MCI = 1
@@ -171,25 +179,40 @@ class TensorFileError(ValueError):
     """A tensor file whose bytes do not hold the tensor its header describes."""
 
 
+def _read_header(f, path: Path | str) -> tuple[int, ...]:
+    """The shape in the header of ``f``, the tensor file ``path`` open at its
+    start, once the file's size is that of exactly its header and payload;
+    ``f`` is left at the payload. A short, padded or corrupt file raises
+    TensorFileError naming ``path``."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(8)
+    if head[:4] != TENSOR_FILE_MAGIC:
+        raise TensorFileError(f"{path}: bad magic {head[:4]!r}")
+    ndim = int.from_bytes(head[4:], "little") if len(head) == 8 else None
+    if ndim is None or ndim > TENSOR_FILE_MAX_NDIM or size < 8 + 4 * ndim:
+        raise TensorFileError(f"{path}: truncated or bad header")
+    shape = tuple(int(x) for x in np.frombuffer(f.read(4 * ndim), dtype="<u4"))
+    payload, expected = size - 8 - 4 * ndim, 4 * math.prod(shape)
+    if payload < expected:
+        raise TensorFileError(f"{path}: truncated payload")
+    if payload > expected:
+        raise TensorFileError(f"{path}: {payload - expected} trailing bytes")
+    return shape
+
+
+def read_tensor_shape(path: Path | str) -> tuple[int, ...]:
+    """The shape of the tensor in ``path``, from its header alone, checked
+    against the file's size as `read_tensor_file` checks it."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)
+
+
 def read_tensor_file(path: Path | str) -> np.ndarray:
     """The float32 tensor in ``path``. The header's extents are checked
     against the file's size before anything is allocated, so a short,
     padded or corrupt file raises TensorFileError naming ``path``."""
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(8)
-        if head[:4] != TENSOR_FILE_MAGIC:
-            raise TensorFileError(f"{path}: bad magic {head[:4]!r}")
-        ndim = int.from_bytes(head[4:], "little") if len(head) == 8 else None
-        if ndim is None or ndim > TENSOR_FILE_MAX_NDIM or size < 8 + 4 * ndim:
-            raise TensorFileError(f"{path}: truncated or bad header")
-        shape = tuple(int(x) for x in np.frombuffer(f.read(4 * ndim), dtype="<u4"))
-        payload, expected = size - 8 - 4 * ndim, 4 * math.prod(shape)
-        if payload < expected:
-            raise TensorFileError(f"{path}: truncated payload")
-        if payload > expected:
-            raise TensorFileError(f"{path}: {payload - expected} trailing bytes")
-        data = np.empty(shape, dtype="<f4")
+        data = np.empty(_read_header(f, path), dtype="<f4")
         if f.readinto(data) != data.nbytes:   # the file shrank since fstat
             raise TensorFileError(f"{path}: truncated payload")
     return data.astype(np.float32, copy=False)   # a no-op on little-endian hosts
@@ -307,37 +330,120 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
     return manifest
 
 
-def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
-    """The manifest's rows; a label outside `LABEL_IDS` raises ValueError
-    naming the manifest, the line and the label."""
-    records = []
-    with open(manifest_path, newline="") as f:
+class DataError(ValueError):
+    """A manifest, its clips or a checkpoint that cannot make the run asked
+    for. The message names the file, and the line where there is one."""
+
+
+MANIFEST_COLUMNS = ("subject_id", "clip_path", "label", "clip_index")
+
+
+def read_csv_rows(path: Path | str, columns: tuple[str, ...]) -> list[tuple[int, dict]]:
+    """The rows of the CSV file ``path``, each with its line number, once the
+    header names each of ``columns`` and every row has a value for each;
+    otherwise DataError naming ``path`` and the line or the columns."""
+    with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: header lacks {', '.join(map(repr, missing))}")
+        rows = []
         for row in reader:
-            if row["label"] not in LABEL_IDS:
-                raise ValueError(f"{manifest_path}, line {reader.line_num}: unknown label "
-                                 f"{row['label']!r}, expected one of {sorted(LABEL_IDS)}")
-            records.append(ClipRecord(
-                subject_id=row["subject_id"],
-                clip_path=row["clip_path"],
-                label=LABEL_IDS[row["label"]],
-                clip_index=int(row["clip_index"]),
-            ))
+            empty = [c for c in columns if not row[c]]
+            if empty:
+                raise DataError(f"{path}, line {reader.line_num}: no {empty[0]}")
+            rows.append((reader.line_num, row))
+    return rows
+
+
+def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
+    """The manifest's rows, once each has a known label and an integer clip
+    index, each subject has one label, and no two rows name one clip file;
+    otherwise DataError naming the manifest, the line(s) and the value."""
+    records = []
+    subjects: dict[str, tuple[int, str]] = {}   # subject id -> its first line and label
+    clips: dict[str, int] = {}                  # normalised clip path -> its line
+    for line, row in read_csv_rows(manifest_path, MANIFEST_COLUMNS):
+        at = f"{manifest_path}, line {line}"
+        subject, label = row["subject_id"], row["label"]
+        if label not in LABEL_IDS:
+            raise DataError(f"{at}: unknown label {label!r}, expected one of {sorted(LABEL_IDS)}")
+        try:
+            clip_index = int(row["clip_index"])
+        except ValueError:
+            raise DataError(f"{at}: clip_index {row['clip_index']!r} is not an integer") from None
+        first_line, first_label = subjects.setdefault(subject, (line, label))
+        if label != first_label:
+            raise DataError(f"{at}: subject {subject!r} is labelled {label}, "
+                            f"but {first_label} on line {first_line}")
+        clip_line = clips.setdefault(os.path.normpath(row["clip_path"]), line)
+        if clip_line != line:
+            raise DataError(f"{manifest_path}, lines {clip_line} and {line}: "
+                            f"both name clip {row['clip_path']!r}")
+        records.append(ClipRecord(subject, row["clip_path"], LABEL_IDS[label], clip_index))
     return records
 
 
+def _fits(shape: tuple[int, ...], m: ModelConfig) -> bool:
+    """Whether a clip of ``shape`` yields model config ``m``'s channels and
+    token counts."""
+    if len(shape) != 4 or shape[3] != m.channels:
+        return False
+    try:
+        return (TB.token_counts(m.tubelet, *shape[:3])
+                == TB.token_counts(m.tubelet, m.clip_len, m.height, m.width))
+    except ShapeError:   # too small for even one cube
+        return False
+
+
 class Cohort:
-    """Manifest plus a subject -> clip index built once; clip frames are
-    read from disk on every call, so each caller gets its own array."""
+    """The clips a manifest lists, checked as a whole by `read_manifest`,
+    plus a subject -> clips index built once. ``manifest_path`` may name a
+    directory, which stands for its ``manifest.csv``. No clip file is read
+    here: `check_fits` reads every clip's header, and `frames` reads a clip
+    from disk on every call, so each caller gets its own array."""
 
     def __init__(self, manifest_path: Path | str):
-        self.manifest_path = Path(manifest_path)
+        path = Path(manifest_path)
+        self.manifest_path = path / "manifest.csv" if path.is_dir() else path
         self.root = self.manifest_path.parent
+        if not self.manifest_path.is_file():
+            raise DataError(f"no manifest at {self.manifest_path}")
         self.records = read_manifest(self.manifest_path)
+        if not self.records:
+            raise DataError(f"{self.manifest_path}: no clips")
         # Subjects in first-appearance order, each with its clips in record order.
         self._clips_by_subject: dict[str, list[int]] = {}
+        self._labels: dict[str, int] = {}
         for i, r in enumerate(self.records):
             self._clips_by_subject.setdefault(r.subject_id, []).append(i)
+            self._labels[r.subject_id] = r.label
+
+    def check_fits(self, *model_cfgs: ModelConfig, l_fold: int | None = None) -> None:
+        """Raise DataError unless a run of each of ``model_cfgs`` can use
+        these clips. A run that trains passes its ``l_fold``: the subjects
+        must fill two folds of that size, one held out and one to train on.
+        Every clip must cut into the cubes each config embeds, with the
+        config's channels and the token counts of a (clip_len, height, width)
+        clip, so trailing frames and pixels that fill no cube may differ.
+        Each clip's header is read once; one that its file's size
+        contradicts raises TensorFileError."""
+        n = len(self._clips_by_subject)
+        if l_fold is not None and n < 2 * l_fold:
+            raise DataError(f"{self.manifest_path}: {n} subjects cannot fill "
+                            f"two folds of {l_fold}")
+        fitting = set()
+        for record in self.records:
+            path = self.root / record.clip_path
+            shape = read_tensor_shape(path)
+            if shape in fitting:
+                continue
+            for m in model_cfgs:
+                if not _fits(shape, m):
+                    raise DataError(f"{path}: clip shape {shape} does not fit a model of "
+                                    f"{(m.clip_len, m.height, m.width, m.channels)} clips "
+                                    f"in {m.tubelet.t}x{m.tubelet.h}x{m.tubelet.w} cubes")
+            fitting.add(shape)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -349,7 +455,7 @@ class Cohort:
         return list(self._clips_by_subject)
 
     def subject_label(self, subject_id: str) -> int:
-        return self.records[self._clips_by_subject[subject_id][0]].label
+        return self._labels[subject_id]
 
     def clips_of(self, subject_id: str) -> list[int]:
         return list(self._clips_by_subject.get(subject_id, ()))

@@ -138,24 +138,25 @@ def save_checkpoint(model: Model, out_dir: Path | str) -> Path:
 
 
 def load_checkpoint(model: Model, out_dir: Path | str) -> None:
+    """Load the weights `save_checkpoint` wrote under ``out_dir`` into
+    ``model``. A name manifest without its columns, or weights that do not
+    fit the model's config, raise DataError naming ``out_dir``."""
     out_dir = Path(out_dir)
     named = dict(model.named_parameters())
-    with open(out_dir / "params.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
     loaded = set()
-    for row in rows:
+    for _, row in D.read_csv_rows(out_dir / "params.csv", ("name", "path")):
         name = row["name"]
         if name not in named:
-            raise ValueError(f"checkpoint parameter '{name}' not in model")
+            raise D.DataError(f"{out_dir}: checkpoint parameter '{name}' not in model")
         arr = D.read_tensor_file(out_dir / row["path"]).astype(model.dtype)
         if arr.shape != named[name].shape:
-            raise ValueError(f"shape mismatch for '{name}': "
-                             f"{arr.shape} vs {named[name].shape}")
+            raise D.DataError(f"{out_dir}: shape mismatch for '{name}': "
+                              f"{arr.shape} vs {named[name].shape}")
         named[name].data = arr
         loaded.add(name)
     missing = set(named) - loaded
     if missing:
-        raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        raise D.DataError(f"{out_dir}: checkpoint missing parameters: {sorted(missing)}")
 
 
 # -- full-model gradient verification ------------------------------------------------------

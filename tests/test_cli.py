@@ -9,11 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mcvv
 from mcvv import cli
+from mcvv import data as D
 from mcvv.config import RunConfig, UsageError
+from mcvv.model import Model
 
 
 TINY = ["--hw", "16", "--clip-len", "8", "--t", "4", "--h", "8", "--w", "8",
@@ -28,6 +31,15 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
     assert cli.main(["gen-data", "--out", str(out), "--seed", "1"] + TINY) == 0
     return out
+
+
+@pytest.fixture
+def no_model(monkeypatch):
+    """Fails the test if a model is built: bad input must stop the run first."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a model was built before the input was checked")
+
+    monkeypatch.setattr(Model, "__init__", refuse)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -126,29 +138,67 @@ def _argv_on_data(command, data, flags, tmp_path):
     return ["eval", "--checkpoint", str(ckpt), "--data", str(data)] + out
 
 
+def _spoil(dataset, data, case) -> str:
+    """Copy ``dataset`` to ``data`` with the defect ``case`` names; return
+    the text the error line must hold. Lines 2-4 of the manifest are
+    mci00's first three clips."""
+    shutil.copytree(dataset, data)
+    manifest = data / "manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    rows = [row.split(",") for row in rows]
+    if case == "last-clip":   # a clip the first one does not stand for
+        D.write_tensor_file(data / rows[-1][1], np.zeros((8, 32, 32, 3)))
+        return rows[-1][1]
+    if case == "label-column":
+        header, names = header.replace("label", "lab"), "manifest.csv: header lacks 'label'"
+    elif case == "subject-column":
+        header = header.replace("subject_id", "subject")
+        names = "manifest.csv: header lacks 'subject_id'"
+    elif case == "clip-index":
+        rows[1][3], names = "x", "manifest.csv, line 3: clip_index 'x' is not an integer"
+    elif case == "short-row":
+        rows[1], names = rows[1][:3], "manifest.csv, line 3: no clip_index"
+    elif case == "two-labels":
+        rows[1][2], names = "NC", "manifest.csv, line 3: subject 'mci00' is labelled NC"
+    else:   # two rows name one clip file
+        rows[2][1], names = rows[0][1], "manifest.csv, lines 2 and 4: both name clip"
+    manifest.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    return names
+
+
+MANIFEST_DEFECTS = ["label-column", "subject-column", "clip-index", "short-row", "two-labels",
+                    "same-clip"]
+
+
 @pytest.mark.parametrize("command,case", [
     ("train", "empty"), ("kfold", "empty"), ("ablate", "empty"), ("eval", "empty"),
     ("train", "l-fold"), ("kfold", "l-fold"), ("ablate", "l-fold"),
+    ("train", "one-fold"), ("kfold", "one-fold"), ("ablate", "one-fold"),
     ("train", "hw"), ("kfold", "hw"), ("ablate", "hw"), ("eval", "hw"),
     ("train", "channels"), ("eval", "channels"),
-])
+    ("train", "last-clip"), ("eval", "last-clip"),
+] + [(command, case) for case in MANIFEST_DEFECTS
+     for command in ("train", "kfold", "ablate", "eval")])
 def test_data_that_cannot_fit_the_run_is_one_line_usage_error(command, case, dataset,
-                                                              tmp_path, capsys):
+                                                              tmp_path, capsys, no_model):
     data, flags, names = dataset, [], ".mcvv"
     if case == "empty":
         data, names = tmp_path / "empty", "manifest.csv"
         data.mkdir()
         (data / "manifest.csv").write_text("subject_id,clip_path,label,clip_index\n")
-    elif case == "l-fold":
-        flags, names = ["--l-fold", "9"], "manifest.csv"    # the cohort has 5 subjects
+    elif case in ("l-fold", "one-fold"):   # the 5 subjects fill no fold of 9, one of 3
+        flags, names = ["--l-fold", "9" if case == "l-fold" else "3"], "manifest.csv"
     elif case == "hw":
         flags = ["--hw", "32"]                              # the clips are 16x16
-    else:
+    elif case == "channels":
         flags = ["--channels", "1"]                         # the clips have 3 channels
+    else:
+        data = tmp_path / "data"
+        names = _spoil(dataset, data, case)
     assert cli.main(_argv_on_data(command, data, flags, tmp_path)) == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
-    assert names in lines[0]
+    assert names in lines[0], lines[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -210,7 +260,7 @@ def checkpoint(dataset, tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["train", "kfold", "ablate", "eval"])
 def test_unknown_manifest_label_is_one_line_usage_error(command, dataset, checkpoint,
-                                                        tmp_path, capsys):
+                                                        tmp_path, capsys, no_model):
     # the manifest names no clip that exists: a read would be an i/o error
     data = tmp_path / "data"
     data.mkdir()
@@ -229,34 +279,42 @@ def test_unknown_manifest_label_is_one_line_usage_error(command, dataset, checkp
     assert not (tmp_path / "out").exists()
 
 
-def test_eval_checkpoint_of_another_config_is_one_line_usage_error(checkpoint, dataset,
+@pytest.mark.parametrize("case", ["another-config", "name-column"])
+def test_eval_checkpoint_that_cannot_load_is_one_line_usage_error(case, checkpoint, dataset,
                                                                   tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoint, ckpt)
-    cfg = RunConfig.from_file(ckpt / "config.cfg")
-    cfg.apply({"d": "32", "mlp_hidden": "32"})
-    cfg.write(ckpt / "config.cfg")
+    if case == "another-config":
+        cfg = RunConfig.from_file(ckpt / "config.cfg")
+        cfg.apply({"d": "32", "mlp_hidden": "32"})
+        cfg.write(ckpt / "config.cfg")
+        head, names = f"{ckpt}: ", "'embed.proj'"
+    else:
+        params = ckpt / "params.csv"
+        params.write_text(params.read_text().replace("name,path", "param,path", 1))
+        head, names = f"{params}: ", "header lacks 'name'"
     rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                    "--out", str(tmp_path / "eval.json")])
     assert rc == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"usage error: {ckpt}: ")
-    assert "'embed.proj'" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: {head}")
+    assert names in lines[0]
     assert not (tmp_path / "eval.json").exists()
 
 
+@pytest.mark.parametrize("case", ["truncated", "bad-magic"])
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_clip_truncated_after_the_first_is_one_line_io_error(command, dataset, checkpoint,
-                                                            tmp_path, capsys):
-    # the first clip, read before the run starts, stays whole; the next one
-    # is first read on the loader thread
+def test_corrupt_last_clip_is_one_line_io_error_before_any_model(command, case, dataset,
+                                                                 checkpoint, tmp_path,
+                                                                 capsys, no_model):
+    # the gate reads every clip's header, so the last clip, which a run
+    # would read last, stops it before a model is built
     data = tmp_path / "data"
     shutil.copytree(dataset, data)
     with open(data / "manifest.csv", newline="") as fh:
-        paths = [row["clip_path"] for row in csv.DictReader(fh)]
-    for rel in paths[1:]:
-        clip = data / rel
-        clip.write_bytes(clip.read_bytes()[:-10])
+        clip = data / list(csv.DictReader(fh))[-1]["clip_path"]
+    raw = clip.read_bytes()
+    clip.write_bytes(raw[:-10] if case == "truncated" else b"XXXX" + raw[4:])
     out = tmp_path / "out"
     if command == "eval":
         argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(data),
@@ -266,7 +324,8 @@ def test_clip_truncated_after_the_first_is_one_line_io_error(command, dataset, c
     assert cli.main(argv) == cli.EXIT_IO
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("i/o error: ")
-    assert re.search(r"\.mcvv: truncated payload$", lines[0]), lines[0]
+    tail = "truncated payload" if case == "truncated" else "bad magic b'XXXX'"
+    assert lines[0].endswith(f"{clip.name}: {tail}"), lines[0]
     assert not out.exists()
 
 

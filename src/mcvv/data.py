@@ -192,6 +192,10 @@ def _read_header(f, path: Path | str) -> tuple[int, ...]:
     if ndim is None or ndim > TENSOR_FILE_MAX_NDIM or size < 8 + 4 * ndim:
         raise TensorFileError(f"{path}: truncated or bad header")
     shape = tuple(int(x) for x in np.frombuffer(f.read(4 * ndim), dtype="<u4"))
+    # numpy refuses a shape whose nonzero extents overflow its byte count,
+    # even when a zero extent leaves the array empty
+    if 4 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+        raise TensorFileError(f"{path}: extents {shape} too large")
     payload, expected = size - 8 - 4 * ndim, 4 * math.prod(shape)
     if payload < expected:
         raise TensorFileError(f"{path}: truncated payload")

@@ -263,6 +263,14 @@ def test_tensor_file_trailing_bytes(tmp_path):
         D.read_tensor_file(path)
 
 
+def test_tensor_file_empty_shape_too_large_for_numpy_fails_header_and_read_alike(tmp_path):
+    path = tmp_path / "huge.mcvv"   # zero elements, but 4 * the other extents exceeds intp
+    path.write_bytes(b"MCVV" + _u4(4) + _u4(0) + _u4(2**16) + _u4(2**23) + _u4(2**23))
+    for read in (D.read_tensor_shape, D.read_tensor_file):
+        with pytest.raises(D.TensorFileError, match="too large"):
+            read(path)
+
+
 @pytest.mark.parametrize("raw", [
     b"MCVV",                                                    # no ndim
     b"MCVV\x02\x00\x00\x00\x01\x00\x00\x00",                    # one of two extents

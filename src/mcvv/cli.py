@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -138,6 +139,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     err, n_params = full_model_gradcheck(seed=args.seed)
     print(f"parameters: {n_params}")
     print(f"max relative error: {err:.6e}")
@@ -166,6 +169,9 @@ def _ablate_cell(cell: RunConfig, cohort: Cohort, seeds: int) -> dict:
 
 
 def cmd_ablate(args) -> int:
+    for name in ("seeds", "workers"):
+        if getattr(args, name) < 1:
+            raise UsageError(f"{name} must be >= 1, got {getattr(args, name)}")
     cfg = _resolve_config(args)
     for t_value in ABLATION_T_VALUES:
         if cfg.clip_len % t_value:
@@ -185,13 +191,14 @@ def cmd_ablate(args) -> int:
     else:
         rows = [_ablate_cell(*job) for job in jobs]
 
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=["t", "head", "loss",
+                                              "subject_accuracy", "clip_accuracy", "f1"])
+    writer.writeheader()
+    writer.writerows(rows)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["t", "head", "loss",
-                                                "subject_accuracy", "clip_accuracy", "f1"])
-        writer.writeheader()
-        writer.writerows(rows)
+    write_text_atomic(out, text.getvalue())
     print(out)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ resolved config so a run is reproducible from its report alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -156,7 +157,10 @@ def _coerce(raw: str, current, key: str):
         if isinstance(current, int):
             return int(text)
         if isinstance(current, float):
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise UsageError(f"key '{key}' expects a finite number, got {text!r}")
+            return value
     except ValueError as exc:
         raise UsageError(f"key '{key}': {exc}") from exc
     return text

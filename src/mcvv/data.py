@@ -246,6 +246,8 @@ class CohortSpec:
         for name in ("mci", "nc", "clip_len", "hw", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.noise < 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
         if not (0.0 <= self.rho < 1.0):
@@ -336,7 +338,8 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
 
 class DataError(ValueError):
     """A manifest, its clips or a checkpoint that cannot make the run asked
-    for. The message names the file, and the line where there is one."""
+    for. The message names the file or checkpoint directory, and the line or
+    parameter where there is one."""
 
 
 MANIFEST_COLUMNS = ("subject_id", "clip_path", "label", "clip_index")
@@ -453,7 +456,13 @@ class Cohort:
         return len(self.records)
 
     def frames(self, index: int) -> np.ndarray:
-        return read_tensor_file(self.root / self.records[index].clip_path)
+        """The clip of record ``index``; a non-finite value raises DataError
+        naming its file, which no header check can see."""
+        path = self.root / self.records[index].clip_path
+        clip = read_tensor_file(path)
+        if not np.isfinite(clip).all():
+            raise DataError(f"{path}: non-finite values")
+        return clip
 
     def subject_ids(self) -> list[str]:
         return list(self._clips_by_subject)

@@ -11,7 +11,7 @@ that matrix; callers do it as data preparation, apart from the forward.
 
 from __future__ import annotations
 
-import csv
+import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -122,41 +122,40 @@ def _named_tensors(prefix: str, params) -> list[tuple[str, Tensor]]:
 # -- checkpoints -----------------------------------------------------------------------
 
 
-def save_checkpoint(model: Model, out_dir: Path | str) -> Path:
-    """One tensor file per parameter plus a name manifest."""
-    out_dir = Path(out_dir)
-    (out_dir / "params").mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "params.csv"
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "path"])
-        for i, (name, p) in enumerate(model.named_parameters()):
-            rel = f"params/{i:04d}.mcvv"
-            D.write_tensor_file(out_dir / rel, p.data)
-            writer.writerow([name, rel])
-    return manifest
+def save_checkpoint(model: Model, out_dir: Path | str) -> None:
+    """Write each float32 parameter to ``params/<name>.mcvv`` under ``out_dir``, all or none."""
+    if np.dtype(model.dtype) != np.float32:
+        raise ValueError(f"checkpoints hold float32 parameters, not {np.dtype(model.dtype)}")
+    params = Path(out_dir) / "params"
+    params.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".params.", dir=params.parent) as work:
+        new = Path(work, "new")
+        new.mkdir()
+        for name, p in model.named_parameters():
+            D.write_tensor_file(new / f"{name}.mcvv", p.data)
+        if params.exists():
+            params.rename(Path(work, "old"))   # removed with ``work``
+        new.rename(params)
 
 
 def load_checkpoint(model: Model, out_dir: Path | str) -> None:
-    """Load the weights `save_checkpoint` wrote under ``out_dir`` into
-    ``model``. A name manifest without its columns, or weights that do not
-    fit the model's config, raise DataError naming ``out_dir``."""
-    out_dir = Path(out_dir)
+    """Load the weights `save_checkpoint` wrote under ``out_dir`` into ``model``,
+    or none: DataError names ``out_dir`` and the first misfitting parameter."""
     named = dict(model.named_parameters())
-    loaded = set()
-    for _, row in D.read_csv_rows(out_dir / "params.csv", ("name", "path")):
-        name = row["name"]
-        if name not in named:
-            raise D.DataError(f"{out_dir}: checkpoint parameter '{name}' not in model")
-        arr = D.read_tensor_file(out_dir / row["path"]).astype(model.dtype)
+    files = {path.stem: path for path in (Path(out_dir) / "params").glob("*.mcvv")}
+    unmatched = [n for n in named if n not in files] + sorted(files.keys() - named.keys())
+    if unmatched:
+        state = "missing from checkpoint" if unmatched[0] in named else "not in model"
+        raise D.DataError(f"{out_dir}: parameter '{unmatched[0]}' {state}")
+    arrays = {name: D.read_tensor_file(files[name]) for name in named}
+    for name, arr in arrays.items():
         if arr.shape != named[name].shape:
             raise D.DataError(f"{out_dir}: shape mismatch for '{name}': "
                               f"{arr.shape} vs {named[name].shape}")
-        named[name].data = arr
-        loaded.add(name)
-    missing = set(named) - loaded
-    if missing:
-        raise D.DataError(f"{out_dir}: checkpoint missing parameters: {sorted(missing)}")
+        if not np.isfinite(arr).all():
+            raise D.DataError(f"{out_dir}: non-finite weights in '{name}'")
+    for name, arr in arrays.items():
+        named[name].data = arr.astype(model.dtype)
 
 
 # -- full-model gradient verification ------------------------------------------------------

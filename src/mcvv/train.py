@@ -176,8 +176,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     moments = init_moments(model.parameters())
     state = L.AdCorreState(epsilon=cfg.epsilon)
     loss_params = cfg.loss_params()
-    batches_per_epoch = max(1, len(train_idx) // cfg.batch_size)
-    cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch)
+    cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch(len(train_idx), cfg.batch_size))
 
     history: list[float] = []
     with _loader() as loader:
@@ -194,6 +193,12 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     return FoldResult(fold_id=fold_id, report=report, model=model, history=history,
                       subject_scores=scores, subject_labels=labels_by_subject,
                       clip_correct=correct, clip_total=total)
+
+
+def batches_per_epoch(n_clips: int, batch_size: int) -> int:
+    """Training batches in an epoch of ``n_clips``: each full batch, plus the
+    trailing one when it holds a pair, which the discriminator needs."""
+    return n_clips // batch_size + (n_clips % batch_size >= 2)
 
 
 def _batches(model: Model, cohort: Cohort, train_idx: list[int], cfg: RunConfig,
@@ -216,14 +221,11 @@ def _batches(model: Model, cohort: Cohort, train_idx: list[int], cfg: RunConfig,
         return new_epoch, np.array([cohort.records[i].label for i in chunk]), cubes
 
     def chunks():
+        size = cfg.batch_size
         for _ in range(cfg.epochs):
             order = shuffle_rng.permutation(len(train_idx))
-            new_epoch = True
-            for lo in range(0, len(order), cfg.batch_size):
-                chunk = [train_idx[i] for i in order[lo:lo + cfg.batch_size]]
-                if len(chunk) >= 2:   # the discriminator needs at least one pair
-                    yield new_epoch, chunk
-                    new_epoch = False
+            for b in range(batches_per_epoch(len(order), size)):
+                yield b == 0, [train_idx[i] for i in order[b * size:(b + 1) * size]]
 
     return _read_ahead(loader, load, islice(chunks(), cfg.max_steps or None))
 

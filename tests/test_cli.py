@@ -50,11 +50,17 @@ def test_config_file_roundtrip(tmp_path):
     assert loaded == cfg
 
 
-@pytest.mark.parametrize("writer", ["report", "config"])
-def test_failed_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
+@pytest.mark.parametrize("writer", ["report", "config", "grid"])
+def test_failed_write_keeps_the_old_file(writer, dataset, tmp_path, monkeypatch):
     path = tmp_path / "out"
+    grid = cli.build_parser().parse_args(["ablate", "--data", str(dataset),
+                                          "--out", str(path)] + TINY)
     write = {"report": lambda: cli._write_json(path, {"accuracy": 1.0}),
-             "config": lambda: RunConfig(seed=5).write(path)}[writer]
+             "config": lambda: RunConfig(seed=5).write(path),
+             "grid": lambda: grid.func(grid)}[writer]
+    monkeypatch.setattr(cli, "_ablate_cell", lambda cell, cohort, seeds: {
+        "t": cell.t, "head": cell.head, "loss": cell.loss,
+        "subject_accuracy": 1.0, "clip_accuracy": 1.0, "f1": 1.0})
     path.write_text("old\n")
     real_write_text = Path.write_text
 
@@ -65,7 +71,7 @@ def test_failed_write_keeps_the_old_file(writer, tmp_path, monkeypatch):
     monkeypatch.setattr(Path, "write_text", disk_full_halfway)
     with pytest.raises(OSError, match="No space"):
         write()
-    monkeypatch.undo()
+    monkeypatch.setattr(Path, "write_text", real_write_text)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
     write()
@@ -107,16 +113,30 @@ def test_usage_error_exit_code():
     (["gen-data", "--noise", "-1"], "noise"),
     (["gen-data", "--clip-len", "0"], "clip_len"),
     (["gen-data", "--mci", "0"], "mci"),
+    (["gen-data", "--seed", "-1"], "seed"),
+    (["train", "--seed", "-1"], "seed"),
+    (["kfold", "--seed", "-1"], "seed"),
+    (["ablate", "--seed", "-1"], "seed"),
+    (["gradcheck", "--seed", "-1"], "seed"),
+    (["gen-data", "--noise", "nan"], "noise"),
+    (["train", "--max-lr", "inf"], "max_lr"),
+    (["ablate", "--seeds", "0"], "seeds"),
+    (["ablate", "--workers", "0"], "workers"),
+    (["ablate", "--workers", "-2"], "workers"),
 ], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
         "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell", "epochs",
-        "max-steps", "channels", "hw", "noise", "clip-len", "mci"])
+        "max-steps", "channels", "hw", "noise", "clip-len", "mci", "gen-data-seed",
+        "train-seed", "kfold-seed", "ablate-seed", "gradcheck-seed", "noise-nan",
+        "max-lr-inf", "ablate-seeds", "ablate-workers-zero",
+        "ablate-workers-negative"])
 def test_bad_config_value_is_one_line_usage_error(argv, key, dataset, tmp_path, capsys):
     """``key``, when given, is the run key the message must name."""
     command, *flags = argv
-    paths = ["--out", str(tmp_path / "out")]
-    if command != "gen-data":
-        paths += ["--data", str(dataset)]
-    assert cli.main([command] + paths + TINY + flags) == cli.EXIT_USAGE
+    if command != "gradcheck":   # gradcheck takes no data, output or run keys
+        flags = ["--out", str(tmp_path / "out")] + TINY + flags
+    if command not in ("gen-data", "gradcheck"):
+        flags = ["--data", str(dataset)] + flags
+    assert cli.main([command] + flags) == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: ")
     if key is not None:
@@ -279,25 +299,32 @@ def test_unknown_manifest_label_is_one_line_usage_error(command, dataset, checkp
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["another-config", "name-column"])
+@pytest.mark.parametrize("case", ["another-config", "missing-parameter", "extra-parameter",
+                                  "non-finite"])
 def test_eval_checkpoint_that_cannot_load_is_one_line_usage_error(case, checkpoint, dataset,
                                                                   tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
     shutil.copytree(checkpoint, ckpt)
+    params = ckpt / "params"
     if case == "another-config":
         cfg = RunConfig.from_file(ckpt / "config.cfg")
         cfg.apply({"d": "32", "mlp_hidden": "32"})
         cfg.write(ckpt / "config.cfg")
-        head, names = f"{ckpt}: ", "'embed.proj'"
+        names = "'embed.proj'"
+    elif case == "missing-parameter":
+        (params / "head.out_b.mcvv").unlink()
+        names = "'head.out_b' missing from checkpoint"
+    elif case == "extra-parameter":
+        shutil.copy(params / "head.out_b.mcvv", params / "head.out_c.mcvv")
+        names = "'head.out_c' not in model"
     else:
-        params = ckpt / "params.csv"
-        params.write_text(params.read_text().replace("name,path", "param,path", 1))
-        head, names = f"{params}: ", "header lacks 'name'"
+        D.write_tensor_file(params / "head.out_b.mcvv", np.full(2, np.nan))
+        names = "non-finite weights in 'head.out_b'"
     rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                    "--out", str(tmp_path / "eval.json")])
     assert rc == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"usage error: {head}")
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: {ckpt}: ")
     assert names in lines[0]
     assert not (tmp_path / "eval.json").exists()
 
@@ -329,6 +356,31 @@ def test_corrupt_last_clip_is_one_line_io_error_before_any_model(command, case, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_clip_is_one_line_usage_error(command, dataset, checkpoint, tmp_path,
+                                                 capsys):
+    # no header shows a clip's values, so a run refuses the first clip it reads
+    data = tmp_path / "data"
+    shutil.copytree(dataset, data)
+    clips = sorted((data / "clips").iterdir())
+    for clip in clips:
+        frames = D.read_tensor_file(clip)
+        frames[-1, -1, -1, -1] = np.nan
+        D.write_tensor_file(clip, frames)
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                "--out", str(out)]
+    else:
+        argv = ["train", "--data", str(data), "--out", str(out)] + TINY
+    assert cli.main(argv) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    named, _, tail = lines[0][len("usage error: "):].partition(": ")
+    assert Path(named) in clips and tail == "non-finite values", lines[0]
+    assert not out.exists()
+
+
 def test_gen_data_writes_manifest(dataset):
     manifest = dataset / "manifest.csv"
     assert manifest.exists()
@@ -345,7 +397,7 @@ def test_train_eval_roundtrip(dataset, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["d"] == 16
     assert "accuracy" in report["report"]
-    assert (out / "params.csv").exists()
+    assert (out / "params" / "embed.proj.mcvv").exists()
     assert (out / "config.cfg").exists()
 
     result = tmp_path / "eval.json"

@@ -406,6 +406,20 @@ def test_cohort_frames_reads_fresh_copy(tmp_path):
     np.testing.assert_array_equal(cohort.frames(0), on_disk)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cohort_frames_refuses_non_finite_values(value, tmp_path):
+    manifest = D.generate_synthetic_cohort(_tiny_spec(noise=0.1), tmp_path)
+    cohort = D.Cohort(manifest)
+    clip = tmp_path / cohort.records[1].clip_path
+    frames = D.read_tensor_file(clip)
+    frames[3, 2, 1, 0] = value
+    D.write_tensor_file(clip, frames)
+    assert D.read_tensor_shape(clip) == frames.shape   # the header pass cannot see it
+    with pytest.raises(D.DataError, match=re.escape(f"{clip}: non-finite values")):
+        cohort.frames(1)
+    assert np.isfinite(cohort.frames(0)).all()
+
+
 def test_cohort_subject_index_keeps_record_order(tmp_path):
     rows = [("b", 0, "MCI"), ("a", 0, "NC"), ("b", 1, "MCI"), ("a", 1, "NC"), ("b", 2, "MCI")]
     manifest = tmp_path / "manifest.csv"
@@ -437,3 +451,5 @@ def test_cohort_spec_validation():
         _tiny_spec(mci=0).validate()
     with pytest.raises(ValueError):
         _tiny_spec(frames_min=8).validate()
+    with pytest.raises(ValueError, match="seed"):
+        _tiny_spec(seed=-1).validate()

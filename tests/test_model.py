@@ -1,8 +1,11 @@
 """Assembled model: forward contract, parameter registry, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
+from mcvv import data as D
 from mcvv import model as MD
 from mcvv.encoder import EncoderConfig
 from mcvv.model import Model, ModelConfig
@@ -72,15 +75,30 @@ def test_clip_probability_range():
     assert 0.0 <= p <= 1.0
 
 
+def _snapshot(model):
+    return {name: p.data.copy() for name, p in model.named_parameters()}
+
+
+def _assert_parameters_equal(model, snapshot):
+    for name, p in model.named_parameters():
+        assert p.data.dtype == snapshot[name].dtype
+        np.testing.assert_array_equal(p.data, snapshot[name], err_msg=name)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     model = Model(tiny_cfg(), seed=7)
     clip = np.random.default_rng(5).random((8, 16, 16, 3)).astype(np.float32)
     before = model.forward(model.cubes(clip[None]))[0].data.copy()
 
-    MD.save_checkpoint(model, tmp_path)
+    MD.save_checkpoint(model, tmp_path / "ckpt")
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    assert [p.name for p in (tmp_path / "ckpt").iterdir()] == ["params"]
+    assert (sorted(p.name for p in (tmp_path / "ckpt" / "params").iterdir())
+            == sorted(f"{name}.mcvv" for name, _ in model.named_parameters()))
     fresh = Model(tiny_cfg(), seed=99)
     assert not np.allclose(fresh.forward(fresh.cubes(clip[None]))[0].data, before)
-    MD.load_checkpoint(fresh, tmp_path)
+    MD.load_checkpoint(fresh, tmp_path / "ckpt")
+    _assert_parameters_equal(fresh, _snapshot(model))
     np.testing.assert_array_equal(fresh.forward(fresh.cubes(clip[None]))[0].data, before)
 
 
@@ -90,6 +108,69 @@ def test_checkpoint_shape_mismatch(tmp_path):
     other = Model(tiny_cfg(d=32, mlp_hidden=32), seed=0)
     with pytest.raises(ValueError, match="shape mismatch"):
         MD.load_checkpoint(other, tmp_path)
+
+
+def test_save_replaces_the_old_checkpoint_whole(tmp_path):
+    old, new = Model(tiny_cfg(), seed=1), Model(tiny_cfg(), seed=2)
+    MD.save_checkpoint(old, tmp_path)
+    MD.save_checkpoint(new, tmp_path)
+    loaded = Model(tiny_cfg(), seed=3)
+    MD.load_checkpoint(loaded, tmp_path)
+    _assert_parameters_equal(loaded, _snapshot(new))
+    assert [p.name for p in tmp_path.iterdir()] == ["params"]
+
+
+def test_failed_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    old = Model(tiny_cfg(), seed=1)
+    MD.save_checkpoint(old, tmp_path)
+    real_write, written = D.write_tensor_file, []
+
+    def disk_full_partway(path, arr):
+        if len(written) == 10:
+            raise OSError(28, "No space left on device")
+        real_write(path, arr)
+        written.append(path)
+
+    monkeypatch.setattr(D, "write_tensor_file", disk_full_partway)
+    with pytest.raises(OSError, match="No space"):
+        MD.save_checkpoint(Model(tiny_cfg(), seed=2), tmp_path)
+    assert len(written) == 10
+    assert [p.name for p in tmp_path.iterdir()] == ["params"]
+    loaded = Model(tiny_cfg(), seed=3)
+    MD.load_checkpoint(loaded, tmp_path)
+    _assert_parameters_equal(loaded, _snapshot(old))
+
+
+def test_float64_model_cannot_be_saved(tmp_path):
+    with pytest.raises(ValueError, match="float32"):
+        MD.save_checkpoint(Model(tiny_cfg(), seed=0, dtype=np.float64), tmp_path / "ckpt")
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "shape", "non-finite"])
+def test_refused_load_changes_no_parameter(case, tmp_path):
+    MD.save_checkpoint(Model(tiny_cfg(), seed=1), tmp_path)
+    params = tmp_path / "params"
+    # the last parameter is read last: a load that assigned each parameter as
+    # it read it would have changed every other one before the refusal
+    last = Model(tiny_cfg(), seed=0).named_parameters()[-1][0]
+    if case == "missing":
+        (params / f"{last}.mcvv").unlink()
+        match = f"'{last}' missing from checkpoint"
+    elif case == "extra":
+        D.write_tensor_file(params / "zzz.mcvv", np.zeros(2))
+        match = "'zzz' not in model"
+    elif case == "shape":
+        D.write_tensor_file(params / f"{last}.mcvv", np.zeros(3))
+        match = f"shape mismatch for '{last}'"
+    else:
+        D.write_tensor_file(params / f"{last}.mcvv", np.array([0.0, np.inf]))
+        match = f"non-finite weights in '{last}'"
+    model = Model(tiny_cfg(), seed=2)
+    before = _snapshot(model)
+    with pytest.raises(D.DataError, match=re.escape(f"{tmp_path}: ") + ".*" + re.escape(match)):
+        MD.load_checkpoint(model, tmp_path)
+    _assert_parameters_equal(model, before)
 
 
 def test_gradcheck_model_size():

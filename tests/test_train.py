@@ -228,6 +228,25 @@ def test_max_steps_zero_trains_every_epoch(tmp_path):
     assert len(result.history) == 2 * per_epoch
 
 
+def test_default_cycle_is_two_epochs_of_batches(tmp_path, monkeypatch):
+    # the trailing part-batch of each epoch trains, so it counts toward the cycle
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    n_train = len(cohort) - sum(len(cohort.clips_of(s)) for s in plan.folds[0])
+    batch = next(b for b in range(3, n_train) if n_train % b >= 2)
+    real, cycles = TR.cyclic_lr, set()
+
+    def watched(step, base_lr, max_lr, cycle_len):
+        cycles.add(cycle_len)
+        return real(step, base_lr, max_lr, cycle_len)
+
+    monkeypatch.setattr(TR, "cyclic_lr", watched)
+    cfg = quick_train_cfg(max_steps=0, epochs=1, batch_size=batch, cycle_steps=0)
+    result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
+    assert len(result.history) == n_train // batch + 1
+    assert cycles == {2 * len(result.history)}
+
+
 def test_train_fold_rejects_model_cfg_head_mismatch(tmp_path):
     cohort = tiny_cohort(tmp_path)
     plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)

@@ -15,7 +15,6 @@ import io
 import json
 import sys
 from dataclasses import asdict, fields, replace
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -93,11 +92,13 @@ def cmd_train(args) -> int:
         raise UsageError(f"fold {args.fold} out of range (k={plan.k})")
     result = TR.train_fold(cohort, plan, args.fold, model_cfg, cfg)
 
+    # The report goes last, so a failed save never leaves a new report
+    # beside an old checkpoint.
     out_dir = Path(args.out)
-    _write_json(out_dir / "report.json",
-                {"config": asdict(cfg), "report": result.report.to_dict()})
     save_checkpoint(result.model, out_dir)
     cfg.write(out_dir / "config.cfg")
+    _write_json(out_dir / "report.json",
+                {"config": asdict(cfg), "report": result.report.to_dict()})
     print(out_dir / "report.json")
     return EXIT_OK
 
@@ -186,6 +187,8 @@ def cmd_ablate(args) -> int:
     cohort.check_fits(*(cell.model_config() for cell in cells), l_fold=cfg.l_fold)
     jobs = [(cell, cohort, args.seeds) for cell in cells]
     if args.workers > 1:
+        from multiprocessing import Pool   # here, so that other commands do not load it
+
         with Pool(args.workers) as pool:
             rows = pool.starmap(_ablate_cell, jobs)
     else:

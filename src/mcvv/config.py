@@ -9,11 +9,10 @@ resolved config so a run is reproducible from its report alone.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from mcvv.data import CohortSpec
+from mcvv.data import CohortSpec, write_text_atomic
 from mcvv.encoder import EncoderConfig
 from mcvv.loss import FocalParams, HPLossParams
 from mcvv.model import ModelConfig
@@ -123,20 +122,6 @@ class RunConfig:
             if key not in known:
                 raise UsageError(f"unknown config key '{key}'")
             setattr(self, key, _coerce(raw, getattr(self, key), key))
-
-
-def write_text_atomic(path: Path | str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it
-    over ``path``, so ``path`` is never partly written: a write that fails
-    leaves the old file whole and removes the temporary one."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _render(value) -> str:

@@ -10,6 +10,7 @@ make a run, and raises DataError, naming the file at fault, when they cannot.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -163,7 +164,21 @@ def plan_folds(subject_ids: list[str], l_fold: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, l_fold=l_fold, folds=folds)
 
 
-# -- tensor files (also used for checkpoints) ----------------------------------------------
+# -- files --------------------------------------------------------------------------------
+
+
+def write_text_atomic(path: Path | str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it
+    over ``path``, so ``path`` is never partly written: a write that fails
+    leaves the old file whole and removes the temporary one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_tensor_file(path: Path | str, arr: np.ndarray) -> None:
@@ -327,12 +342,13 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
             write_tensor_file(out_dir / rel, frames)
             records.append(ClipRecord(subject_id, rel, label, clip_index))
 
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["subject_id", "clip_path", "label", "clip_index"])
+    for r in records:
+        writer.writerow([r.subject_id, r.clip_path, LABEL_NAMES[r.label], r.clip_index])
     manifest = out_dir / "manifest.csv"
-    with open(manifest, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["subject_id", "clip_path", "label", "clip_index"])
-        for r in records:
-            writer.writerow([r.subject_id, r.clip_path, LABEL_NAMES[r.label], r.clip_index])
+    write_text_atomic(manifest, text.getvalue())
     return manifest
 
 

@@ -408,6 +408,21 @@ def test_train_eval_roundtrip(dataset, tmp_path):
     assert payload["report"]["n_subjects"] == 5
 
 
+def test_failed_save_keeps_the_old_report(dataset, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(dataset), "--out", str(out)] + TINY
+    assert cli.main(argv + ["--seed", "1"]) == cli.EXIT_OK
+    first = {name: (out / name).read_bytes() for name in ("report.json", "config.cfg")}
+
+    def disk_full(path, arr):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(D, "write_tensor_file", disk_full)
+    assert cli.main(argv + ["--seed", "2"]) == cli.EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in first} == first
+
+
 def test_kfold_byte_identical_reports(dataset, tmp_path):
     args = ["kfold", "--data", str(dataset), "--seed", "3"] + TINY
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -488,11 +503,12 @@ def test_missing_dataset_is_usage_error(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy_ndimage():
-    # augmentation is plain numpy; loading scipy.ndimage would cost every
-    # command its import time
+    # augmentation and erf are plain numpy; loading any part of scipy would
+    # cost every command its import time
     src = str(Path(mcvv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, mcvv.cli; print('scipy.ndimage' in sys.modules)"
+    code = ("import sys, mcvv.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

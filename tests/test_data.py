@@ -1,7 +1,10 @@
 """Augmentation, fold planning, tensor files, and cohort generation and loading."""
 
+import csv
 import re
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -396,6 +399,41 @@ def test_cohort_pixel_range_and_clip_len(tmp_path):
         frames = cohort.frames(i)
         assert frames.shape == (16, 16, 16, 3)
         assert frames.min() >= 0.0 and frames.max() <= 1.0
+
+
+@pytest.mark.parametrize("fail", ["rows", "disk"])
+def test_failed_manifest_write_leaves_no_manifest_or_the_old_one(fail, tmp_path, monkeypatch):
+    real_writer, real_write_text = csv.writer, Path.write_text
+
+    def writer_failing_after_5_rows(f, *args, **kwargs):
+        inner, written = real_writer(f, *args, **kwargs), []
+
+        def writerow(row):
+            if len(written) == 5:
+                raise OSError(5, "Input/output error")
+            written.append(row)
+            return inner.writerow(row)
+
+        return SimpleNamespace(writerow=writerow)
+
+    def disk_full_halfway(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    def generate_failing(spec):
+        with monkeypatch.context() as m:
+            if fail == "rows":
+                m.setattr(csv, "writer", writer_failing_after_5_rows)
+            else:
+                m.setattr(Path, "write_text", disk_full_halfway)
+            with pytest.raises(OSError):
+                D.generate_synthetic_cohort(spec, tmp_path)
+        return sorted(p.name for p in tmp_path.iterdir())   # no temporary file is left
+
+    assert generate_failing(_tiny_spec(seed=5)) == ["clips"]
+    old = D.generate_synthetic_cohort(_tiny_spec(seed=5), tmp_path).read_text()
+    assert generate_failing(_tiny_spec(seed=6, mci=6)) == ["clips", "manifest.csv"]
+    assert (tmp_path / "manifest.csv").read_text() == old
 
 
 def test_cohort_frames_reads_fresh_copy(tmp_path):

@@ -1,5 +1,7 @@
 """Numeric engine tests: hand oracles plus central-difference gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,50 @@ def test_layer_norm_grad_vs_central_differences():
 
 
 # -- misc ops ------------------------------------------------------------------------
+
+
+ERF_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                                     ids=["float32", "float64"])
+ERF_TOLERANCE = {np.float32: 5e-7, np.float64: 5e-16}
+
+
+@ERF_DTYPES
+def test_erf_matches_math_erf(dtype):
+    x = np.linspace(-6.0, 6.0, 120_001).astype(dtype)
+    exact = np.array([math.erf(v) for v in x.tolist()])
+    out = T.erf(x)
+    assert out.dtype == dtype
+    assert np.abs(out - exact).max() <= ERF_TOLERANCE[dtype]
+
+
+@ERF_DTYPES
+def test_erf_is_odd_and_zero_at_zero(dtype):
+    x = np.random.default_rng(0).uniform(-6.0, 6.0, 10_000).astype(dtype)
+    np.testing.assert_array_equal(T.erf(-x), -T.erf(x))
+    zero = T.erf(np.array([0.0, -0.0], dtype))
+    assert zero.dtype == dtype
+    np.testing.assert_array_equal(zero, [0.0, 0.0])
+
+
+@ERF_DTYPES
+def test_erf_extremes_raise_no_floating_point_error(dtype):
+    # Underflow stays ignored, as numpy's default: squaring a subnormal underflows.
+    info = np.finfo(dtype)
+    big = {np.float32: 3.4e38, np.float64: 1e300}[dtype]
+    huge = np.array([big, -big, info.max, -info.max, np.inf, -np.inf], dtype)
+    tiny = np.array([info.smallest_subnormal, -info.smallest_subnormal, 3 * info.smallest_subnormal,
+                     info.tiny / 1024, -info.tiny / 2, info.tiny], dtype)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out_huge, out_tiny = T.erf(huge), T.erf(tiny)
+    assert out_huge.dtype == out_tiny.dtype == dtype
+    np.testing.assert_array_equal(out_huge, np.sign(huge))
+    slope = tiny.astype(np.float64) * (2.0 / math.sqrt(math.pi))   # erf(x) ~ x * 2/sqrt(pi)
+    np.testing.assert_allclose(out_tiny, slope, rtol=2 * info.eps, atol=info.smallest_subnormal)
+
+
+def test_erf_rejects_other_dtypes():
+    with pytest.raises(TypeError, match="float16"):
+        T.erf(np.zeros(3, np.float16))
 
 
 def test_gelu_zero():

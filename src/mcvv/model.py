@@ -77,9 +77,11 @@ class Model:
         return H.mc_features(feature, self.head)
 
     def clip_probability(self, cubes: Tensor) -> np.ndarray:
-        """Probability of class 1 for each of B clips' cubes, as a [B] array."""
-        logits, _ = self.forward(cubes)
-        return T.softmax(logits, axis=-1).data[:, 1]
+        """Probability of class 1 for each of B clips' cubes, as a [B] array,
+        from a forward that records no graph."""
+        with T.no_grad():
+            logits, _ = self.forward(cubes)
+            return T.softmax(logits, axis=-1).data[:, 1]
 
     # -- parameter registry ------------------------------------------------------------
 

@@ -10,6 +10,14 @@ operations require matching dtypes. The only implicit broadcast is over
 leading batch axes (the smaller operand must equal the trailing shape of the
 larger one) -- anything else needs an explicit reshape/repeat.
 
+A graph lives until one ``backward`` consumes it, as PyTorch's default
+``retain_graph=False`` does: once a node's gradient closure has run, the node
+drops its gradient, parents and closure, so each layer's activations and
+gradients die as soon as the walk has passed them. Leaves keep accumulating
+``.grad``, and the loss keeps its own; a second ``backward`` through a
+consumed graph raises. Inside ``no_grad()`` operations record nothing, so a
+forward that is never differentiated (evaluation) builds no graph at all.
+
 Every operation checks its output for NaN/Inf and raises NonFiniteError
 naming the operation instead of letting bad values propagate. Operations
 that only move values (reshape, transpose, getitem, concat, repeat) skip
@@ -20,6 +28,8 @@ it can overflow, and keeps its gradient check.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,13 +58,36 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 
+class _GradMode(threading.local):
+    """Whether operations record a graph, per thread; see `no_grad`."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Operations inside the block, on this thread, record no graph: their
+    outputs have no parents and do not require gradients. The previous mode
+    comes back when the block ends, also when it raises."""
+    before = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = before
+
+
 class Tensor:
     """N-dimensional array participating in a differentiable graph.
 
     The graph is implicit: non-leaf tensors hold their parents and a
-    closure computing parent gradients from the output gradient. A graph
-    must stay on the thread that built it; the arrays themselves are
-    value-semantic and safe to hand across threads.
+    closure computing parent gradients from the output gradient, until
+    `backward` consumes them (see the module docstring); under `no_grad` they
+    hold neither. A graph must stay on the thread that built it; the arrays
+    themselves are value-semantic and safe to hand across threads.
     """
 
     # __weakref__ lets a caller watch a graph die without keeping it alive.
@@ -83,7 +116,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._op = op
-        if any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._grad_fn = grad_fn
@@ -496,7 +529,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad leaf reachable from a scalar loss."""
+    """Populate .grad on every requires_grad leaf reachable from a scalar loss,
+    consuming the graph on the way: each interior node drops its gradient,
+    parents and closure once its closure has run. The loss keeps its .grad."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
 
@@ -510,6 +545,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.requires_grad and node._op != "leaf" and node._grad_fn is None:
+            raise RuntimeError(f"backward through '{node._op}': an earlier backward "
+                               "consumed its graph")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -517,16 +555,22 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._grad_fn is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._grad_fn is None:
             continue
-        grads = node._grad_fn(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if node._op not in _MOVES_GRADIENTS:
-                _ensure_finite(g, f"{node._op}.backward")
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            grads = node._grad_fn(node.grad)
+            for parent, g in zip(node._parents, grads):
+                if g is None or not parent.requires_grad:
+                    continue
+                if node._op not in _MOVES_GRADIENTS:
+                    _ensure_finite(g, f"{node._op}.backward")
+                parent.grad = g if parent.grad is None else parent.grad + g
+        if node is not loss:
+            node.grad = None
+        node._parents = ()
+        node._grad_fn = None
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
@@ -579,19 +623,20 @@ def gradcheck(f: Callable[[Sequence[Tensor]], Tensor],
                 for p in params]
 
     worst = []
-    for p, aflat in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        errs = np.empty((len(steps), flat.size))
-        for i in range(flat.size):
-            orig = flat[i]
-            ana = float(aflat[i])
-            for k, step in enumerate(steps):
-                flat[i] = orig + step
-                f_plus = float(f(params).data)
-                flat[i] = orig - step
-                f_minus = float(f(params).data)
-                flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * step)
-                errs[k, i] = abs(numeric - ana) / max(abs(numeric), abs(ana), 1e-8)
-        worst.append(errs.min(axis=0).max(initial=0.0))
+    with no_grad():   # the numeric side reads only values
+        for p, aflat in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            errs = np.empty((len(steps), flat.size))
+            for i in range(flat.size):
+                orig = flat[i]
+                ana = float(aflat[i])
+                for k, step in enumerate(steps):
+                    flat[i] = orig + step
+                    f_plus = float(f(params).data)
+                    flat[i] = orig - step
+                    f_minus = float(f(params).data)
+                    flat[i] = orig
+                    numeric = (f_plus - f_minus) / (2.0 * step)
+                    errs[k, i] = abs(numeric - ana) / max(abs(numeric), abs(ana), 1e-8)
+            worst.append(errs.min(axis=0).max(initial=0.0))
     return float(max(worst))

@@ -87,9 +87,10 @@ def batch_loss(model: Model, cubes: T.Tensor, labels: np.ndarray,
 def train_step(model: Model, moments: AdamMoments, cubes: T.Tensor,
                labels: np.ndarray, state: L.AdCorreState, params: L.HPLossParams,
                lr: float) -> float:
-    """One Adam step on the batch's loss; returns the loss. The step's graph
-    (activations and cube matrix) dies on return, before the next batch's
-    forward builds another."""
+    """One Adam step on the batch's loss; returns the loss. ``backward``
+    consumes the step's graph as it walks, freeing each layer's activations
+    and gradients once it has passed them; the cube matrix dies on return,
+    before the next batch's forward."""
     weights = model.parameters()
     T.zero_grads(weights)
     loss = batch_loss(model, cubes, labels, state, params)

@@ -7,6 +7,7 @@ import pytest
 
 from mcvv import data as D
 from mcvv import model as MD
+from mcvv import tensor as T
 from mcvv.encoder import EncoderConfig
 from mcvv.model import Model, ModelConfig
 from mcvv.tensor import Tensor
@@ -73,6 +74,27 @@ def test_clip_probability_range():
     clip = np.random.default_rng(4).random((8, 16, 16, 3)).astype(np.float32)
     p = model.clip_probability(model.cubes(clip[None]))[0]
     assert 0.0 <= p <= 1.0
+
+
+def test_clip_probability_records_no_graph_and_matches_a_recording_forward():
+    model = Model(tiny_cfg(), seed=0)
+    clips = np.random.default_rng(5).random((3, 8, 16, 16, 3)).astype(np.float32)
+    cubes = model.cubes(clips)
+    logits, _ = model.forward(cubes)
+    assert logits.requires_grad
+    expected = T.softmax(logits, axis=-1).data[:, 1]
+
+    outputs = []
+    forward = model.forward
+
+    def watched(c):
+        outputs.append(forward(c))
+        return outputs[-1]
+
+    model.forward = watched
+    probs = model.clip_probability(cubes)
+    assert probs.tobytes() == expected.tobytes()
+    assert all(not t.requires_grad and t._parents == () for t in outputs[0])
 
 
 def _snapshot(model):

@@ -1,6 +1,8 @@
 """Numeric engine tests: hand oracles plus central-difference gradient checks."""
 
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -292,6 +294,9 @@ def test_backward_fanout_accumulates():
     y = T.add(x, x)
     T.backward(T.tsum(y))
     np.testing.assert_array_equal(x.grad, [2.0])
+    # a leaf keeps accumulating across separate graphs, each one consumed
+    T.backward(T.tsum(T.mul(x, x)))
+    np.testing.assert_array_equal(x.grad, [12.0])
 
 
 def test_backward_rejects_non_scalar():
@@ -307,6 +312,67 @@ def test_backward_visits_shared_subgraph_once():
     T.backward(loss)
     # d/dx (3x)^2 = 18x = 36
     np.testing.assert_allclose(x.grad, [36.0])
+
+
+def test_backward_consumes_the_graph():
+    x = t64([1.0, 2.0], requires_grad=True)
+    hidden = T.mul(x, 3.0)
+    loss = T.tsum(T.power(hidden, 2.0))
+    ref = weakref.ref(hidden)
+    del hidden
+    T.backward(loss)
+    assert ref() is None   # freed although the loss is alive
+    assert loss._parents == () and loss._grad_fn is None
+    np.testing.assert_array_equal(loss.grad, 1.0)   # the loss keeps its gradient
+    np.testing.assert_allclose(x.grad, [18.0, 36.0])
+
+
+def test_backward_through_a_consumed_graph_names_the_op():
+    x = t64([1.0, 2.0], requires_grad=True)
+    hidden = T.mul(x, x)
+    loss = T.tsum(hidden)
+    T.backward(loss)
+    with pytest.raises(RuntimeError, match=r"^backward through 'sum': an earlier backward "
+                                           r"consumed its graph$"):
+        T.backward(loss)
+    # a new loss on a consumed interior node fails the same way
+    with pytest.raises(RuntimeError, match=r"'mul'"):
+        T.backward(T.tsum(T.neg(hidden)))
+
+
+# -- no_grad ------------------------------------------------------------------------------
+
+
+def test_no_grad_records_nothing():
+    x = t64([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        y = T.tsum(T.mul(x, x))
+    assert not y.requires_grad and y._parents == () and y._grad_fn is None
+    assert y.item() == 5.0
+
+
+def test_no_grad_mode_is_restored_after_the_block():
+    x = t64([1.0], requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert not T.neg(x).requires_grad   # an inner block restores the outer mode
+    assert T.neg(x).requires_grad
+    with pytest.raises(KeyError):
+        with T.no_grad():
+            raise KeyError("inside")
+    assert T.neg(x)._parents == (x,)
+
+
+def test_no_grad_is_per_thread():
+    x = t64([1.0], requires_grad=True)
+    out = []
+    worker = threading.Thread(target=lambda: out.append(T.neg(x)))
+    with T.no_grad():
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert out[0].requires_grad and out[0]._parents == (x,)
 
 
 # -- gradcheck ----------------------------------------------------------------------------
@@ -340,6 +406,21 @@ def _random_mlp(seed):
 def test_gradcheck_random_mlp():
     f, params = _random_mlp(7)
     assert T.gradcheck(f, params) < 1e-6
+
+
+def test_gradcheck_numeric_side_records_no_graph():
+    f, params = _random_mlp(3)
+    recorded = []
+
+    def watched(ps):
+        out = f(ps)
+        recorded.append(out.requires_grad)
+        return out
+
+    T.gradcheck(watched, params, steps=(1e-5, 1e-6))
+    n = sum(p.size for p in params)
+    assert recorded == [True] + [False] * (n * 2 * 2)
+    assert T.tsum(params[0]).requires_grad   # recording is back on afterwards
 
 
 LADDER = (5e-4, 5e-5, 5e-6)

@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, train, kfold, eval, gradcheck, ablate. Every run
 config key is a flag; a --config file supplies the base values and flags
-override it. Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 I/O error. The checks live with the config, data and checkpoint code;
+override it. Exit codes: 0 success, 1 usage error, 2 verification failure
+(a failed gradient check, or a run whose values went non-finite), 3 I/O
+error. The checks live with the config, data, checkpoint and tensor code;
 `main` only maps their errors to exit codes.
 """
 
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mcvv import tensor as T
 from mcvv import train as TR
 from mcvv.config import HEAD_MODES, LOSS_MODES, RunConfig, UsageError, write_text_atomic
 from mcvv.data import (Cohort, DataError, TensorFileError, generate_synthetic_cohort,
@@ -255,13 +257,19 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Each tensor op checks its own output and raises NonFiniteError
+        # naming itself, so numpy's overflow warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (UsageError, DataError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, TensorFileError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except T.NonFiniteError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -8,6 +8,13 @@ temporal position embedding, one row per clip: [B, n_t+1, d]. Blocks are
 pre-norm: LN -> sublayer -> residual. After the temporal stage each clip's
 output vector takes a residual from the mean of its spatial class tokens and
 one final feed-forward block, giving [B, d] features.
+
+A stage passes on only its class-token rows, so its last layer computes only
+those, as CaiT's class attention does: LayerNorm, keys and values run over
+every row, while the query, attention, output projection, residual and
+feed-forward block run on one row per sequence, [b, d]. The math is that of
+a full layer whose other rows are dropped; so are the float32 bits whenever
+b >= 2 (with b = 1, numpy's matrix-vector kernels may round differently).
 """
 
 from __future__ import annotations
@@ -115,26 +122,34 @@ def init_encoder_params(cfg: EncoderConfig, n_t: int, rng, dtype=np.float32) -> 
 # -- forward passes ---------------------------------------------------------------
 
 
-def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
-    """Pre-norm multi-head self-attention with residual over [b, n, d] rows."""
+def mhsa(x: Tensor, params: AttentionParams, heads: int, cls_only: bool = False) -> Tensor:
+    """Pre-norm multi-head self-attention with residual over [b, n, d] rows.
+
+    With ``cls_only`` only the class token (row 0) queries, as in CaiT's class
+    attention: keys and values still come from every row, and the output is
+    the class row alone, [b, d]."""
     if x.ndim != 3:
         raise T.ShapeError(f"mhsa input must be [b, n, d], got shape {x.shape}")
     b, n, d = x.shape
     dh = d // heads
 
     h = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    q = T.linear(h, params.wq, params.bq)
     k = T.linear(h, params.wk, params.bk)
     v = T.linear(h, params.wv, params.bv)
+    if cls_only:
+        x, h = x[:, 0, :], h[:, 0, :]
+    q = T.linear(h, params.wq, params.bq)
 
     def split_heads(m):
-        return T.transpose(T.reshape(m, (b, n, heads, dh)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(m, (b, -1, heads, dh)), (0, 2, 1, 3))
 
     q4, k4, v4 = split_heads(q), split_heads(k), split_heads(v)
-    scores = T.mul(T.matmul(q4, T.transpose(k4, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    # row-major keys, so a lone class-row query rounds as in an all-rows product
+    kt = T.contiguous(T.transpose(k4, (0, 1, 3, 2)))
+    scores = T.mul(T.matmul(q4, kt), 1.0 / math.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
     ctx = T.matmul(attn, v4)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
     return T.add(x, T.linear(ctx, params.wo, params.bo))
 
 
@@ -145,8 +160,17 @@ def feed_forward(x: Tensor, params: FeedForwardParams) -> Tensor:
     return T.add(x, T.linear(h, params.w2, params.b2))
 
 
-def transformer_layer(x: Tensor, layer: LayerParams, heads: int) -> Tensor:
-    return feed_forward(mhsa(x, layer.attn, heads), layer.ff)
+def transformer_layer(x: Tensor, layer: LayerParams, heads: int,
+                      cls_only: bool = False) -> Tensor:
+    return feed_forward(mhsa(x, layer.attn, heads, cls_only), layer.ff)
+
+
+def encode_stage(x: Tensor, layers: list[LayerParams], heads: int) -> Tensor:
+    """Run a stage's layers over [b, n, d] rows and return the class rows,
+    [b, d]. Only those leave the stage, so the last layer computes them alone."""
+    for layer in layers[:-1]:
+        x = transformer_layer(x, layer, heads)
+    return transformer_layer(x, layers[-1], heads, cls_only=True)
 
 
 def spatial_encode(tokens: Tensor, n_t: int, cfg: EncoderConfig,
@@ -161,9 +185,7 @@ def spatial_encode(tokens: Tensor, n_t: int, cfg: EncoderConfig,
     cls = T.repeat(T.reshape(tokens[:, 0:1, :], (b, 1, 1, d)), n_t, axis=1)
     rest = T.reshape(tokens[:, 1:, :], (b, n_t, n_spatial, d))    # time-major layout
     x = T.reshape(T.concat([cls, rest], axis=2), (b * n_t, n_spatial + 1, d))
-    for layer in params.spatial:
-        x = transformer_layer(x, layer, cfg.heads)
-    return T.reshape(x[:, 0, :], (b, n_t, d))
+    return T.reshape(encode_stage(x, params.spatial, cfg.heads), (b, n_t, d))
 
 
 def temporal_encode(steps: Tensor, cfg: EncoderConfig, params: EncoderParams) -> Tensor:
@@ -175,9 +197,7 @@ def temporal_encode(steps: Tensor, cfg: EncoderConfig, params: EncoderParams) ->
                            f"does not fit {n_t} steps")
     cls = T.repeat(T.reshape(params.temporal_cls, (1, 1, d)), b, axis=0)
     x = T.add(T.concat([cls, steps], axis=1), params.temporal_pos)
-    for layer in params.temporal:
-        x = transformer_layer(x, layer, cfg.heads)
-    return x[:, 0, :]
+    return encode_stage(x, params.temporal, cfg.heads)
 
 
 def encoder_forward(tokens: Tensor, n_t: int, cfg: EncoderConfig,

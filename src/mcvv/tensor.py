@@ -20,9 +20,9 @@ forward that is never differentiated (evaluation) builds no graph at all.
 
 Every operation checks its output for NaN/Inf and raises NonFiniteError
 naming the operation instead of letting bad values propagate. Operations
-that only move values (reshape, transpose, getitem, concat, repeat) skip
-the check, which cannot fail on finite inputs; repeat's backward sums, so
-it can overflow, and keeps its gradient check.
+that only move values (reshape, transpose, contiguous, getitem, concat,
+repeat) skip the check, which cannot fail on finite inputs; repeat's
+backward sums, so it can overflow, and keeps its gradient check.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Ops whose outputs, and gradients but for repeat's sum, are finite whenever
 # their inputs are; see the module docstring.
-_MOVES_VALUES = frozenset({"reshape", "transpose", "getitem", "concat", "repeat"})
+_MOVES_VALUES = frozenset({"reshape", "transpose", "contiguous", "getitem", "concat",
+                           "repeat"})
 _MOVES_GRADIENTS = _MOVES_VALUES - {"repeat"}
 
 
@@ -370,6 +371,14 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         return (g.transpose(inv),)
 
     return Tensor._from_op(out_data, (a,), grad_fn, "transpose")
+
+
+def contiguous(a: Tensor) -> Tensor:
+    """The same values in a fresh row-major array. numpy picks its matmul
+    kernel by operand layout, so a one-row product matches the corresponding
+    row of a many-row product bit for bit only when the right operand is
+    row-major."""
+    return Tensor._from_op(np.ascontiguousarray(a.data), (a,), lambda g: (g,), "contiguous")
 
 
 def getitem(a: Tensor, idx) -> Tensor:

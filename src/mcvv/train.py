@@ -46,15 +46,18 @@ def init_moments(params: Sequence) -> AdamMoments:
 
 def adam_step(params: Sequence, grads: Sequence[np.ndarray], moments: AdamMoments,
               lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update, in place on each parameter's array."""
+              eps: float = 1e-8, names: Sequence[str] = ()) -> None:
+    """Bias-corrected Adam update, in place on each parameter's array. A
+    non-finite gradient raises NonFiniteError naming its parameter, by
+    ``names`` when given, else by position."""
     moments.t += 1
     t = moments.t
-    for p, g, m, v in zip(params, grads, moments.m, moments.v):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, moments.m, moments.v)):
         if g is None:
             continue
         if not np.isfinite(g).all():
-            raise T.NonFiniteError("non-finite gradient in adam_step")
+            name = f"'{names[i]}'" if names else f"#{i}"
+            raise T.NonFiniteError(f"non-finite gradient of parameter {name} in adam_step")
         m[...] = beta1 * m + (1.0 - beta1) * g
         v[...] = beta2 * v + (1.0 - beta2) * (g * g)
         m_hat = m / (1.0 - beta1 ** t)
@@ -91,11 +94,11 @@ def train_step(model: Model, moments: AdamMoments, cubes: T.Tensor,
     consumes the step's graph as it walks, freeing each layer's activations
     and gradients once it has passed them; the cube matrix dies on return,
     before the next batch's forward."""
-    weights = model.parameters()
+    names, weights = zip(*model.named_parameters())
     T.zero_grads(weights)
     loss = batch_loss(model, cubes, labels, state, params)
     T.backward(loss)
-    adam_step(weights, [p.grad for p in weights], moments, lr)
+    adam_step(weights, [p.grad for p in weights], moments, lr, names=names)
     return loss.item()
 
 

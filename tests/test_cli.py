@@ -381,6 +381,18 @@ def test_non_finite_clip_is_one_line_usage_error(command, dataset, checkpoint, t
     assert not out.exists()
 
 
+def test_run_whose_values_go_non_finite_is_one_line_exit_2(dataset, tmp_path, capsys):
+    # the first step's update at lr 1e30 overflows the second step's forward
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(dataset), "--out", str(out), "--base-lr", "1e30",
+            "--max-lr", "1e30"] + TINY
+    assert cli.main(argv) == cli.EXIT_VERIFY
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert re.fullmatch(r"numeric error: non-finite .* '[\w.]+'", lines[0]), lines[0]
+    assert not out.exists()
+
+
 def test_gen_data_writes_manifest(dataset):
     manifest = dataset / "manifest.csv"
     assert manifest.exists()

@@ -8,6 +8,7 @@ import pytest
 from mcvv import encoder as E
 from mcvv import tensor as T
 from mcvv import tubelet as TB
+from mcvv.model import Model, ModelConfig, _named_tensors
 from mcvv.tensor import Tensor
 
 
@@ -153,20 +154,94 @@ def test_temporal_encode_wrong_step_count():
         E.temporal_encode(Tensor(rng.standard_normal((1, 3, cfg.d))), cfg, params)
 
 
-def test_gradient_through_both_stages():
+@pytest.mark.parametrize("n_sp, n_tp", [(1, 1), (2, 2)])
+def test_gradient_through_both_stages(n_sp, n_tp):
+    # at 1+1 every layer is a stage's last, so 2+2 keeps all-rows layers checked too
     rng = np.random.default_rng(9)
-    cfg = small_cfg()
+    cfg = small_cfg(n_sp=n_sp, n_tp=n_tp)
     params = E.init_encoder_params(cfg, n_t=2, rng=rng, dtype=np.float64)
     seq = make_seq(rng, n_t=2, n_h=1, n_w=2, d=cfg.d)
     w = rng.standard_normal(cfg.d)
-    probe = [params.spatial[0].attn.wq, params.spatial[0].ff.w1,
-             params.temporal[0].attn.wv, params.temporal_cls,
+    probe = [params.spatial[0].attn.wq, params.spatial[-1].attn.wq,
+             params.spatial[-1].ff.w1, params.temporal[0].attn.wv,
+             params.temporal[-1].attn.wk, params.temporal_cls,
              params.temporal_pos, params.final_ff.w2]
 
     def f(_):
         return T.tsum(T.mul(E.encoder_forward(seq, 2, cfg, params), Tensor(w)))
 
     assert T.gradcheck(f, probe) < 1e-4
+
+
+# -- class-row last layers -------------------------------------------------------------------
+
+
+@pytest.fixture
+def all_rows(monkeypatch):
+    """Run every layer over all rows, slicing the class row off a stage's last
+    layer afterwards: the reference the class-row layers must match."""
+    real = E.transformer_layer
+
+    def every_row(x, layer, heads, cls_only=False):
+        out = real(x, layer, heads)
+        return out[:, 0, :] if cls_only else out
+
+    def use():
+        monkeypatch.setattr(E, "transformer_layer", every_row)
+
+    return use
+
+
+def test_class_row_probabilities_match_all_rows_bit_for_bit(all_rows):
+    # a 12-clip subject as evaluation scores it, and a 16-clip training batch
+    model = Model(ModelConfig(), seed=14)
+    rng = np.random.default_rng(15)
+    cubes = [model.cubes(rng.random((b, 16, 64, 64, 3), dtype=np.float32)) for b in (12, 16)]
+    class_row = [model.clip_probability(c) for c in cubes]
+    all_rows()
+    for c, probs in zip(cubes, class_row):
+        assert np.array_equal(probs, model.clip_probability(c))
+
+
+def test_class_row_gradients_match_all_rows(all_rows):
+    rng = np.random.default_rng(16)
+    cfg = E.EncoderConfig()   # 2+2 layers
+    params = E.init_encoder_params(cfg, n_t=3, rng=rng, dtype=np.float64)
+    seq = make_seq(rng, n_t=3, d=cfg.d, requires_grad=True)
+    w = Tensor(rng.standard_normal((1, cfg.d)))
+    named = [("tokens", seq)] + _named_tensors("encoder", params)
+
+    def grads():
+        T.zero_grads([p for _, p in named])
+        T.backward(T.tsum(T.mul(E.encoder_forward(seq, 3, cfg, params), w)))
+        return [p.grad for _, p in named]
+
+    class_row = grads()
+    all_rows()
+    for (name, _), g, ref in zip(named, class_row, grads()):
+        if name.endswith(".bk"):
+            # softmax cancels a key bias, so its gradient is round-off alone
+            assert np.abs(g).max() < 1e-14 and np.abs(ref).max() < 1e-14, name
+            continue
+        # the tolerance scales with the whole gradient: an entry that cancels
+        # to near 0 keeps only round-off, whose order the row count changes
+        np.testing.assert_allclose(g, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+def test_mhsa_class_row_gradient():
+    rng = np.random.default_rng(17)
+    cfg = small_cfg()
+    p = E.init_attention_params(cfg.d, rng, np.float64)
+    x = Tensor(rng.standard_normal((2, 4, cfg.d)), requires_grad=True)
+    w = rng.standard_normal((2, cfg.d))
+    params = [x, p.wq, p.bq, p.wk, p.wv, p.wo, p.ln_gain, p.ln_bias, p.bv]
+
+    def f(_):
+        return T.tsum(T.mul(E.mhsa(x, p, cfg.heads, cls_only=True), Tensor(w)))
+
+    assert E.mhsa(x, p, cfg.heads, cls_only=True).shape == (2, cfg.d)
+    assert T.gradcheck(f, params) < 1e-5
 
 
 # -- full encoder ----------------------------------------------------------------------------------

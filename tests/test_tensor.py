@@ -258,6 +258,17 @@ def test_repeat_and_grad():
     np.testing.assert_allclose(x.grad, [[6.0], [12.0]])
 
 
+def test_contiguous_copies_a_view_row_major_and_passes_its_gradient():
+    x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    view = T.transpose(x)
+    out = T.contiguous(view)
+    assert not view.data.flags.c_contiguous and out.data.flags.c_contiguous
+    np.testing.assert_array_equal(out.data, view.data)
+    w = np.arange(6.0).reshape(3, 2)
+    T.backward(T.tsum(T.mul(out, t64(w))))
+    np.testing.assert_array_equal(x.grad, w.T)
+
+
 def test_nonfinite_raises_with_op_name():
     with pytest.raises(T.NonFiniteError, match="log"):
         T.log(t64([-1.0]))

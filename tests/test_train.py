@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from mcvv import data as D
+from mcvv import loss as L
 from mcvv import metrics as M
+from mcvv import tensor as T
 from mcvv import train as TR
 from mcvv.config import LOSS_MODES, RunConfig
 from mcvv.encoder import EncoderConfig
@@ -61,6 +63,30 @@ def test_adam_rejects_nonfinite_grad():
     moments = TR.init_moments([p])
     with pytest.raises(Exception, match="non-finite"):
         TR.adam_step([p], [np.array([np.nan])], moments, lr=0.1)
+    # the error names the parameter at fault: by name when given, else by position
+    params = [_leaf([1.0]), _leaf([2.0])]
+    grads = [np.array([0.5]), np.array([np.inf])]
+    with pytest.raises(T.NonFiniteError, match=r"^non-finite gradient of parameter "
+                                               r"'head\.out_b' in adam_step$"):
+        TR.adam_step(params, grads, TR.init_moments(params), lr=0.1,
+                     names=["head.out_w", "head.out_b"])
+    with pytest.raises(T.NonFiniteError, match=r"parameter #1 in adam_step$"):
+        TR.adam_step(params, grads, TR.init_moments(params), lr=0.1)
+
+
+def test_train_step_names_the_parameter_with_a_nonfinite_grad(monkeypatch):
+    model = Model(tiny_model_cfg(), seed=0)
+    real = T.backward
+
+    def poisoned(loss):
+        real(loss)
+        model.proj.grad[0, 0] = np.nan
+
+    monkeypatch.setattr(T, "backward", poisoned)
+    cubes = model.cubes(np.zeros((2, 8, 16, 16, 3)))
+    with pytest.raises(T.NonFiniteError, match=r"parameter 'embed\.proj'"):
+        TR.train_step(model, TR.init_moments(model.parameters()), cubes, np.array([0, 1]),
+                      L.AdCorreState(), L.HPLossParams(), lr=1e-3)
 
 
 # -- cyclic schedule ----------------------------------------------------------------
@@ -130,19 +156,19 @@ def test_loss_decreases_on_separable_data(tmp_path):
 def test_train_fold_pinned_across_epoch_boundaries(tmp_path):
     # 24 training clips in batches of 8: 7 steps cross two epoch boundaries
     # and stop one step into the third epoch. Pinned with tensor.erf's
-    # float32 rational (x86-64, OpenBLAS 0.3.31); the prefetching loop must
-    # match it bit for bit.
+    # float32 rational and class-row last layers (x86-64, OpenBLAS 0.3.31);
+    # the prefetching loop must match it bit for bit.
     cohort = tiny_cohort(tmp_path)
     plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
     result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(),
                            quick_train_cfg(batch_size=8, max_steps=7))
-    assert result.history == [0.9266001582145691, 0.23625360429286957, 0.4301406443119049,
-                              0.4841199517250061, 0.31956571340560913, 0.5251544117927551,
-                              0.8020927309989929]
+    assert result.history == [0.9266001582145691, 0.2362537533044815, 0.4301406145095825,
+                              0.4841199815273285, 0.31956571340560913, 0.5251543521881104,
+                              0.8020926713943481]
     sha = hashlib.sha256()
     for name, p in result.model.named_parameters():
         sha.update(name.encode() + b"\0" + p.data.tobytes())
-    assert sha.hexdigest() == "0108ff0ab795d4e32c0587a8f9318a216ac39e0515c86fe4d91296fd1767806c"
+    assert sha.hexdigest() == "50801b57a7bb1d4f4303934a1dee77aa583fe5ff56b502be094f6ad66d9f091e"
 
 
 def _blas_threads():

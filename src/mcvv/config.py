@@ -2,8 +2,8 @@
 
 `RunConfig` is a run's one config; the cohort, model and loss settings are
 views of it. Every key can come from a config file (`key = value`, '#'
-comments) or a CLI flag, and unknown keys are rejected. Reports embed the
-resolved config so a run is reproducible from its report alone.
+comments) or a CLI flag; unknown keys and keys a file repeats are rejected.
+Reports embed the resolved config so a run is reproducible from its report alone.
 """
 
 from __future__ import annotations
@@ -153,6 +153,7 @@ def _coerce(raw: str, current, key: str):
 
 def _parse_file(path: Path | str) -> dict[str, str]:
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -163,6 +164,9 @@ def _parse_file(path: Path | str) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = stripped.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in line_of:
+            raise UsageError(f"{path}:{lineno}: key '{key}' already set on line {line_of[key]}")
+        line_of[key] = lineno
+        out[key] = value
     return out

@@ -1,9 +1,10 @@
 """Multi-branch classifier head.
 
-Four parallel linear branches fan out from a shared projection and their
-outputs concatenate back before the class logits; every stage is purely
-linear plus bias, with no activations in between. Inputs are [B, feature_dim]
-rows, one per clip. At the default feature width 64 the stage dims are
+Four parallel linear branches fan out from a shared projection, and the class
+logits read their outputs side by side. No stage has an activation, so the
+branches are one linear layer whose weight and bias hold branch i in columns
+[i*branch_dim, (i+1)*branch_dim), and the whole head is affine. Inputs are
+[B, feature_dim] rows, one per clip. At feature width 64 the stage dims are
 64 -> 16 -> [8,8,8,8] -> 32 -> num_class. The ablation is the same head
 without branches: 64 -> 16 -> num_class, with the projection as embedding.
 """
@@ -24,8 +25,8 @@ BRANCH_COUNT = 4
 class MCParams:
     fc1_w: Tensor                      # [feature_dim, hidden]
     fc1_b: Tensor
-    branch_w: list[Tensor]             # 4 x [hidden, branch_dim], or empty
-    branch_b: list[Tensor]
+    branch_w: Tensor | None            # [hidden, 4 * branch_dim], or None without branches
+    branch_b: Tensor | None            # [4 * branch_dim]
     out_w: Tensor                      # [embedding_dim, num_class]
     out_b: Tensor
 
@@ -46,29 +47,29 @@ def check_feature_dim(feature_dim: int, multi_branch: bool) -> None:
 
 def init_mc_params(feature_dim: int, num_class: int, rng, dtype=np.float32,
                    multi_branch: bool = True) -> MCParams:
-    """Head parameters; with ``multi_branch`` False the branch lists are empty
-    and the output layer reads the hidden projection directly."""
+    """Head parameters; without ``multi_branch`` the branch weight and bias are
+    None and the output layer reads the hidden projection. The branch blocks
+    are four [hidden, branch_dim] Glorot draws in turn, laid side by side."""
     check_feature_dim(feature_dim, multi_branch)
-    hidden = feature_dim // 4
-    branch = feature_dim // 8
-    count = BRANCH_COUNT if multi_branch else 0
-    embedding_dim = BRANCH_COUNT * branch if multi_branch else hidden
-    return MCParams(
-        fc1_w=T.init_glorot(rng, (feature_dim, hidden), dtype),
-        fc1_b=T.init_zeros(hidden, dtype),
-        branch_w=[T.init_glorot(rng, (hidden, branch), dtype) for _ in range(count)],
-        branch_b=[T.init_zeros(branch, dtype) for _ in range(count)],
-        out_w=T.init_glorot(rng, (embedding_dim, num_class), dtype),
-        out_b=T.init_zeros(num_class, dtype),
-    )
+    hidden, branch = feature_dim // 4, feature_dim // 8
+    fc1_w = T.init_glorot(rng, (feature_dim, hidden), dtype)
+    branch_w = branch_b = None
+    if multi_branch:
+        blocks = T.init_glorot(rng, (BRANCH_COUNT, hidden, branch), dtype).data
+        branch_w = Tensor(blocks.transpose(1, 0, 2).reshape(hidden, -1), requires_grad=True)
+        branch_b = T.init_zeros(BRANCH_COUNT * branch, dtype)
+    embedding_dim = hidden if branch_w is None else branch_w.shape[1]
+    return MCParams(fc1_w=fc1_w, fc1_b=T.init_zeros(hidden, dtype),
+                    branch_w=branch_w, branch_b=branch_b,
+                    out_w=T.init_glorot(rng, (embedding_dim, num_class), dtype),
+                    out_b=T.init_zeros(num_class, dtype))
 
 
 def mc_features(feature: Tensor, params: MCParams) -> tuple[Tensor, Tensor]:
     """[B, feature_dim] -> logits [B, num_class] plus the embedding
-    [B, embedding_dim]: the concatenated branches, branch i at dims
-    [i*branch_dim, (i+1)*branch_dim), or the hidden projection when the
-    head has no branches."""
-    x1 = T.linear(feature, params.fc1_w, params.fc1_b)
-    branches = [T.linear(x1, w, b) for w, b in zip(params.branch_w, params.branch_b)]
-    emb = T.concat(branches, axis=-1) if branches else x1
+    [B, embedding_dim]: the four branch outputs side by side, or the hidden
+    projection when the head has no branches."""
+    emb = T.linear(feature, params.fc1_w, params.fc1_b)
+    if params.branch_w is not None:
+        emb = T.linear(emb, params.branch_w, params.branch_b)
     return T.linear(emb, params.out_w, params.out_b), emb

@@ -99,25 +99,18 @@ class Model:
 
 def _named_tensors(prefix: str, params) -> list[tuple[str, Tensor]]:
     """Every Tensor of a parameter dataclass with its dotted name, in field
-    order. A list field numbers its items after the field's stem: ``spatial``
-    gives ``spatial0``, ``branch_w`` gives ``branch0_w``. List fields sharing
-    a stem (``branch_w``, ``branch_b``) are walked together, item by item."""
+    order. A list field numbers its items (``spatial`` gives ``spatial0``,
+    ...), and a None field (the branch-free head's branch weight) is skipped."""
     if isinstance(params, Tensor):
         return [(prefix, params)]
-    groups: dict[str, list[str]] = {}
+    out = []
     for f in fields(params):
         value = getattr(params, f.name)
-        stem = f.name.partition("_")[0] if isinstance(value, list) else f.name
-        groups.setdefault(stem, []).append(f.name)
-    out = []
-    for stem, names in groups.items():
-        values = [getattr(params, name) for name in names]
-        if not isinstance(values[0], list):
-            out += _named_tensors(f"{prefix}.{stem}", values[0])
-            continue
-        for i, items in enumerate(zip(*values, strict=True)):
-            for name, item in zip(names, items):
-                out += _named_tensors(f"{prefix}.{stem}{i}{name[len(stem):]}", item)
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                out += _named_tensors(f"{prefix}.{f.name}{i}", item)
+        elif value is not None:
+            out += _named_tensors(f"{prefix}.{f.name}", value)
     return out
 
 

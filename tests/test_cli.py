@@ -86,6 +86,20 @@ def test_config_rejects_unknown_key(tmp_path):
         RunConfig.from_file(path)
 
 
+def test_config_key_set_twice_is_one_line_usage_error(dataset, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\nmci = 3\n# comment lines count too\nseed = 2\n")
+    with pytest.raises(UsageError, match=re.escape(f"{path}:4: key 'seed' already set on line 1")):
+        RunConfig.from_file(path)
+    rc = cli.main(["train", "--data", str(dataset), "--config", str(path),
+                   "--out", str(tmp_path / "out")] + TINY)
+    assert rc == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: ")
+    assert str(path) in lines[0] and "'seed'" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exit_code():
     assert cli.main(["train", "--data", "/nonexistent"]) == cli.EXIT_USAGE  # no --out
     assert cli.main(["kfold", "--data", "/nonexistent", "--out", "x.json"]) == cli.EXIT_USAGE
@@ -300,7 +314,7 @@ def test_unknown_manifest_label_is_one_line_usage_error(command, dataset, checkp
 
 
 @pytest.mark.parametrize("case", ["another-config", "missing-parameter", "extra-parameter",
-                                  "non-finite"])
+                                  "non-finite", "four-branch-files"])
 def test_eval_checkpoint_that_cannot_load_is_one_line_usage_error(case, checkpoint, dataset,
                                                                   tmp_path, capsys):
     ckpt = tmp_path / "ckpt"
@@ -317,9 +331,18 @@ def test_eval_checkpoint_that_cannot_load_is_one_line_usage_error(case, checkpoi
     elif case == "extra-parameter":
         shutil.copy(params / "head.out_b.mcvv", params / "head.out_c.mcvv")
         names = "'head.out_c' not in model"
-    else:
+    elif case == "non-finite":
         D.write_tensor_file(params / "head.out_b.mcvv", np.full(2, np.nan))
         names = "non-finite weights in 'head.out_b'"
+    else:
+        # the layout of releases that stored each branch as its own linear
+        for wb in "wb":
+            stacked = params / f"head.branch_{wb}.mcvv"
+            blocks = np.split(D.read_tensor_file(stacked), 4, axis=-1)
+            for i, arr in enumerate(blocks):
+                D.write_tensor_file(params / f"head.branch{i}_{wb}.mcvv", arr)
+            stacked.unlink()
+        names = "'head.branch_w' missing from checkpoint"
     rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                    "--out", str(tmp_path / "eval.json")])
     assert rc == cli.EXIT_USAGE

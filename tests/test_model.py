@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mcvv import data as D
+from mcvv import encoder as E
 from mcvv import model as MD
 from mcvv import tensor as T
+from mcvv import tubelet as TB
 from mcvv.encoder import EncoderConfig
 from mcvv.model import Model, ModelConfig
 from mcvv.tensor import Tensor
@@ -209,12 +211,13 @@ ENCODER_NAMES = ([f"encoder.{stage}{i}.{leaf}" for stage in ("spatial", "tempora
                   for i in range(2) for leaf in LAYER_LEAVES + FF_LEAVES]
                  + ["encoder.temporal_cls", "encoder.temporal_pos"]
                  + [f"encoder.final_{leaf}" for leaf in FF_LEAVES])
-# Checkpoint names as written by earlier releases, in their order.
+# Checkpoint names, in their order. Releases that stored the four branches
+# apart wrote head.branch0_w ... head.branch3_b where head.branch_w and
+# head.branch_b stand now; their checkpoints are refused.
 PINNED_NAMES = {
     True: (["embed.proj", "embed.cls", "embed.pos"] + ENCODER_NAMES
-           + ["head.fc1_w", "head.fc1_b"]
-           + [f"head.branch{i}_{wb}" for i in range(4) for wb in "wb"]
-           + ["head.out_w", "head.out_b"]),
+           + ["head.fc1_w", "head.fc1_b", "head.branch_w", "head.branch_b",
+              "head.out_w", "head.out_b"]),
     False: (["embed.proj", "embed.cls", "embed.pos"] + ENCODER_NAMES
             + ["head.fc1_w", "head.fc1_b", "head.out_w", "head.out_b"]),
 }
@@ -262,3 +265,33 @@ def test_batched_forward_matches_per_clip(multi_branch):
     keep = [i for i in range(len(clips)) if i != j]
     np.testing.assert_array_equal(other[keep], logits.data[keep])
     assert not np.allclose(other[j], logits.data[j])
+
+
+def _four_branch_probability(model, cubes, branch_w, branch_b):
+    """Class-1 probabilities of a head that runs each branch as its own
+    linear and concatenates their outputs, on ``model``'s other weights."""
+    head = model.head
+    with T.no_grad():
+        tokens = TB.embed(cubes, model.proj, model.cls_token, model.pos, model.counts)
+        feature = E.encoder_forward(tokens, model.counts[0], model.cfg.encoder, model.encoder)
+        x1 = T.linear(feature, head.fc1_w, head.fc1_b)
+        emb = T.concat([T.linear(x1, Tensor(w), Tensor(b))
+                        for w, b in zip(branch_w, branch_b)], axis=-1)
+        logits = T.linear(emb, head.out_w, head.out_b)
+        return T.softmax(logits, axis=-1).data[:, 1]
+
+
+@pytest.mark.parametrize("batch", [1, 12, 16])
+def test_stacked_branches_match_four_branch_head_bit_for_bit(batch):
+    model = Model(ModelConfig(), seed=0)
+    cfg = model.cfg
+    rng = np.random.default_rng(batch)
+    branch_w = [rng.normal(0.0, 0.3, (16, 8)).astype(np.float32) for _ in range(4)]
+    branch_b = [rng.normal(0.0, 0.1, 8).astype(np.float32) for _ in range(4)]
+    model.head.branch_w.data = np.concatenate(branch_w, axis=1)
+    model.head.branch_b.data = np.concatenate(branch_b)
+    clips = rng.random((batch, cfg.clip_len, cfg.height, cfg.width,
+                        cfg.channels)).astype(np.float32)
+    cubes = model.cubes(clips)
+    assert np.array_equal(model.clip_probability(cubes),
+                          _four_branch_probability(model, cubes, branch_w, branch_b))

@@ -99,6 +99,9 @@ class RunConfig:
             raise ValueError(f"l_fold must be >= 1, got {self.l_fold}")
         if self.cycle_steps < 0 or self.cycle_steps == 1:
             raise ValueError(f"cycle_steps must be 0 or >= 2, got {self.cycle_steps}")
+        for key in ("base_lr", "max_lr", "epsilon"):
+            if getattr(self, key) < 0.0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         self.cohort_spec().validate()
         self.model_config()
         self.loss_params()

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -140,12 +140,7 @@ def augment_clip(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 @dataclass
 class FoldPlan:
     k: int
-    l_fold: int
     folds: list[list[str]]                 # fold index -> subject ids
-    assignment: dict[str, int] = field(init=False)
-
-    def __post_init__(self):
-        self.assignment = {s: i for i, fold in enumerate(self.folds) for s in fold}
 
 
 def plan_folds(subject_ids: list[str], l_fold: int, seed: int) -> FoldPlan:
@@ -161,7 +156,7 @@ def plan_folds(subject_ids: list[str], l_fold: int, seed: int) -> FoldPlan:
     order = [subject_ids[i] for i in rng.permutation(n)]
     folds = [order[i * l_fold:(i + 1) * l_fold] for i in range(k)]
     folds[-1].extend(order[k * l_fold:])
-    return FoldPlan(k=k, l_fold=l_fold, folds=folds)
+    return FoldPlan(k=k, folds=folds)
 
 
 # -- files --------------------------------------------------------------------------------

@@ -95,9 +95,8 @@ def p_mci(p: Tensor, labels) -> Tensor:
         raise ValueError("probabilities outside [0, 1]; upstream numeric failure")
     y = np.asarray(labels, dtype=p.dtype)
     pc = T.clamp(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    # pc where y=1, 1-pc where y=0
-    return T.add(T.mul(pc, Tensor(y)), T.mul(T.sub(Tensor(np.ones_like(y)), pc),
-                                             Tensor(1.0 - y)))
+    # pc * (2y - 1) + (1 - y): pc where y=1, 1-pc where y=0
+    return T.add(T.mul(pc, Tensor(2.0 * y - 1.0)), Tensor(1.0 - y))
 
 
 def focal_loss(p: Tensor, labels, params: FocalParams) -> Tensor:

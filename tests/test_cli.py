@@ -137,12 +137,16 @@ def test_usage_error_exit_code():
     (["ablate", "--seeds", "0"], "seeds"),
     (["ablate", "--workers", "0"], "workers"),
     (["ablate", "--workers", "-2"], "workers"),
+    (["train", "--epsilon", "-5"], "epsilon"),
+    (["train", "--base-lr", "-1"], "base_lr"),
+    (["kfold", "--max-lr", "-1"], "max_lr"),
 ], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
         "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell", "epochs",
         "max-steps", "channels", "hw", "noise", "clip-len", "mci", "gen-data-seed",
         "train-seed", "kfold-seed", "ablate-seed", "gradcheck-seed", "noise-nan",
         "max-lr-inf", "ablate-seeds", "ablate-workers-zero",
-        "ablate-workers-negative"])
+        "ablate-workers-negative", "epsilon-negative", "base-lr-negative",
+        "max-lr-negative"])
 def test_bad_config_value_is_one_line_usage_error(argv, key, dataset, tmp_path, capsys):
     """``key``, when given, is the run key the message must name."""
     command, *flags = argv
@@ -538,8 +542,8 @@ def test_missing_dataset_is_usage_error(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy_ndimage():
-    # augmentation and erf are plain numpy; loading any part of scipy would
-    # cost every command its import time
+    # augmentation and erf need only numpy and math; loading any part of
+    # scipy would cost every command its import time
     src = str(Path(mcvv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, mcvv.cli; "

@@ -212,7 +212,8 @@ def test_plan_folds_property(n, l_fold):
     plan = D.plan_folds(_subjects(n), l_fold, seed=0)
     assert plan.k == n // l_fold
     assert sum(len(f) for f in plan.folds) == n
-    assert len(set(plan.assignment.values())) == plan.k
+    assert len(plan.folds) == plan.k and all(plan.folds)
+    assert len({s for fold in plan.folds for s in fold}) == n   # disjoint folds
 
 
 # -- tensor files -------------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Numeric engine tests: hand oracles plus central-difference gradient checks."""
 
+import hashlib
 import math
 import threading
 import weakref
@@ -161,7 +162,7 @@ def test_layer_norm_grad_vs_central_differences():
 
 ERF_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64],
                                      ids=["float32", "float64"])
-ERF_TOLERANCE = {np.float32: 5e-7, np.float64: 5e-16}
+ERF_TOLERANCE = {np.float32: 5e-7, np.float64: 0.0}   # float64 is math.erf itself
 
 
 @ERF_DTYPES
@@ -196,6 +197,19 @@ def test_erf_extremes_raise_no_floating_point_error(dtype):
     np.testing.assert_array_equal(out_huge, np.sign(huge))
     slope = tiny.astype(np.float64) * (2.0 / math.sqrt(math.pi))   # erf(x) ~ x * 2/sqrt(pi)
     np.testing.assert_allclose(out_tiny, slope, rtol=2 * info.eps, atol=info.smallest_subnormal)
+
+
+def test_erf_of_a_0d_float64_is_a_0d_float64_array():
+    out = T.erf(np.array(0.5))
+    assert isinstance(out, np.ndarray) and out.shape == () and out.dtype == np.float64
+    assert out == math.erf(0.5)
+
+
+def test_erf_float32_output_is_pinned():
+    # the training dtype: same-seed reports depend on every bit of it
+    x = np.linspace(-6.0, 6.0, 120_001).astype(np.float32)
+    assert (hashlib.sha256(T.erf(x).tobytes()).hexdigest()
+            == "cd43b2654ae0b4885155a927c063daa0eaeaf3e4c6c4811a1755d736d9efe8e7")
 
 
 def test_erf_rejects_other_dtypes():
@@ -398,7 +412,13 @@ def test_gradcheck_quadratic_near_exact():
     assert T.gradcheck(f, [x]) < 1e-9
 
 
-def _random_mlp(seed):
+def _doubled_identity(a):
+    # value a, but a backward that claims twice the true gradient
+    return Tensor._from_op(a.data.copy(), (a,), lambda g: (2.0 * g,), "doubled")
+
+
+def _random_mlp(seed, planted=False):
+    """A two-layer MLP loss; ``planted`` doubles the last bias's gradient."""
     rng = np.random.default_rng(seed)
     w1 = t64(rng.standard_normal((6, 8)) * 0.5, requires_grad=True)
     b1 = t64(rng.standard_normal(8) * 0.1, requires_grad=True)
@@ -408,7 +428,8 @@ def _random_mlp(seed):
 
     def f(params):
         h = T.gelu(T.linear(x, params[0], params[1]))
-        out = T.softmax(T.linear(h, params[2], params[3]), axis=-1)
+        bias = _doubled_identity(params[3]) if planted else params[3]
+        out = T.softmax(T.linear(h, params[2], bias), axis=-1)
         return T.tsum(T.mul(out, out))
 
     return f, [w1, b1, w2, b2]
@@ -430,7 +451,8 @@ def test_gradcheck_numeric_side_records_no_graph():
 
     T.gradcheck(watched, params, steps=(1e-5, 1e-6))
     n = sum(p.size for p in params)
-    assert recorded == [True] + [False] * (n * 2 * 2)
+    assert recorded[0] and not any(recorded[1:])
+    assert 2 * n <= len(recorded) - 1 <= 4 * n   # one or both steps per coordinate
     assert T.tsum(params[0]).requires_grad   # recording is back on afterwards
 
 
@@ -449,14 +471,52 @@ def test_gradcheck_ladder_flags_wrong_gradient():
     x = t64(rng.standard_normal(5), requires_grad=True)
     w = rng.standard_normal(5)
 
-    def doubled_identity(a):
-        # value a, but a backward that claims twice the true gradient
-        return Tensor._from_op(a.data.copy(), (a,), lambda g: (2.0 * g,), "doubled")
-
     def f(params):
-        return T.tsum(T.mul(doubled_identity(params[0]), Tensor(w)))
+        return T.tsum(T.mul(_doubled_identity(params[0]), Tensor(w)))
 
     assert T.gradcheck(f, [x], steps=LADDER) > 1e-2
+
+
+def _full_ladder_gradcheck(f, params, steps):
+    """T.gradcheck without its early exit: every coordinate at every step."""
+    T.zero_grads(params)
+    T.backward(f(params))
+    worst = []
+    with T.no_grad():
+        for p in params:
+            aflat = p.grad.reshape(-1).copy()
+            flat = p.data.reshape(-1)
+            errs = np.empty((len(steps), flat.size))
+            for i in range(flat.size):
+                orig = flat[i]
+                ana = float(aflat[i])
+                for k, step in enumerate(steps):
+                    flat[i] = orig + step
+                    f_plus = float(f(params).data)
+                    flat[i] = orig - step
+                    f_minus = float(f(params).data)
+                    flat[i] = orig
+                    numeric = (f_plus - f_minus) / (2.0 * step)
+                    errs[k, i] = abs(numeric - ana) / max(abs(numeric), abs(ana), 1e-8)
+            worst.append(errs.min(axis=0).max())
+    return float(max(worst))
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["correct", "planted-wrong"])
+def test_gradcheck_early_exit_equals_full_ladder(planted):
+    f, params = _random_mlp(21, planted=planted)
+    calls = []
+
+    def counted(ps):
+        calls.append(None)
+        return f(ps)
+
+    early = T.gradcheck(counted, params, steps=LADDER)
+    full = _full_ladder_gradcheck(f, params, LADDER)
+    assert early == full   # the same float, not within a tolerance
+    assert (full > 1e-2) == planted
+    n = sum(p.size for p in params)
+    assert len(calls) - 1 < 2 * len(LADDER) * n   # some ladder steps were skipped
 
 
 def test_determinism_bitwise():

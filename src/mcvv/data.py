@@ -119,14 +119,19 @@ def apply_augment(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
     # default-config training run's peak RSS by up to 9 MB.
     out = np.empty(frames.shape, dtype=frames.dtype)
     index, weight = _bilinear_taps(height, width, params)
+    # Both transposes move a pixel's C channels as one item, through a view
+    # of each pixel as one void of C values.
+    pixel = np.dtype((np.void, channels * frames.dtype.itemsize))
     # Pixel-major [H*W, L*C]: one gather row holds a pixel's values in every
     # frame and channel, which all share that pixel's taps.
     pixels = np.ascontiguousarray(
-        frames.reshape(length, height * width, channels).transpose(1, 0, 2)
-    ).reshape(height * width, length * channels)
+        np.ascontiguousarray(frames).view(pixel).reshape(length, height * width).T
+    ).view(frames.dtype)
     weight = weight.astype(np.promote_types(frames.dtype, np.float32))
     sampled = np.einsum("pk,pkc->pc", weight, np.take(pixels, index, axis=0))
-    out[...] = sampled.reshape(height, width, length, channels).transpose(2, 0, 1, 3)
+    sampled = sampled.astype(frames.dtype, copy=False).view(pixel)
+    out.view(pixel).reshape(length, height, width)[...] = \
+        sampled.reshape(height, width, length).transpose(2, 0, 1)
     return out
 
 

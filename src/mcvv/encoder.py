@@ -45,6 +45,8 @@ class EncoderConfig:
             raise ValueError(f"d={self.d} not divisible by heads={self.heads}")
         if self.n_sp < 1 or self.n_tp < 1:
             raise ValueError("need at least one spatial and one temporal layer")
+        if self.mlp_hidden < 1:
+            raise ValueError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
 
 
 @dataclass

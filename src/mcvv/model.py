@@ -3,10 +3,12 @@
 `ModelConfig` holds the clip geometry and the parts' own configs, a
 `TubeletConfig` and an `EncoderConfig`. The model holds every learnable tensor
 behind stable dotted names (for the optimizer, checkpoints, and gradient
-verification) and exposes a batched forward: the cube matrix [B, N, cube] of
-B clips -> logits [B, 2] over `data.LABEL_NAMES` plus the embeddings [B, E]
-feeding the discriminator loss, as one graph. `Model.cubes` cuts clips into
-that matrix; callers do it as data preparation, apart from the forward.
+verification) and runs B clips in three steps: `Model.cubes` cuts the clips
+into the cube matrix [B, N, cube], `Model.embed` turns it into tokens
+[B, N+1, d], and `Model.forward` maps the tokens to logits [B, 2] over
+`data.LABEL_NAMES` plus the embeddings [B, E] feeding the discriminator
+loss. Training runs embed and forward as one graph; evaluation embeds on its
+loader thread, so only the tokens reach the forward.
 """
 
 from __future__ import annotations
@@ -66,21 +68,26 @@ class Model:
     def cubes(self, clips, batch: int | None = None) -> Tensor:
         """B clips ([B,T,H,W,C], or an iterable of [T,H,W,C] clips, with
         ``batch`` giving B where it has no length) -> the [B, N, cube]
-        constant the forward takes, in the model's cubes and dtype."""
+        constant `embed` takes, in the model's cubes and dtype."""
         return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch)
 
-    def forward(self, cubes: Tensor) -> tuple[Tensor, Tensor]:
-        """[B, N, cube] cubes (see `cubes`) -> (logits [B, 2],
+    def embed(self, cubes: Tensor) -> Tensor:
+        """[B, N, cube] cubes (see `cubes`) -> the [B, N+1, d] tokens
+        `forward` takes: each cube projected, the class token first, the
+        positional embedding added."""
+        return TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
+
+    def forward(self, tokens: Tensor) -> tuple[Tensor, Tensor]:
+        """[B, N+1, d] tokens (see `embed`) -> (logits [B, 2],
         discriminator embeddings [B, E])."""
-        tokens = TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
         feature = E.encoder_forward(tokens, self.counts[0], self.cfg.encoder, self.encoder)
         return H.mc_features(feature, self.head)
 
-    def clip_probability(self, cubes: Tensor) -> np.ndarray:
-        """Probability of class 1 for each of B clips' cubes, as a [B] array,
+    def clip_probability(self, tokens: Tensor) -> np.ndarray:
+        """Probability of class 1 for each of B clips' tokens, as a [B] array,
         from a forward that records no graph."""
         with T.no_grad():
-            logits, _ = self.forward(cubes)
+            logits, _ = self.forward(tokens)
             return T.softmax(logits, axis=-1).data[:, 1]
 
     # -- parameter registry ------------------------------------------------------------
@@ -180,7 +187,7 @@ def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
     params = L.HPLossParams()
 
     def f(_):
-        logits, emb = model.forward(cubes)
+        logits, emb = model.forward(model.embed(cubes))
         return L.hp_loss(logits, labels, emb, state, params, update_state=False)
 
     err = T.gradcheck(f, model.parameters(), steps=steps)

@@ -8,8 +8,10 @@ epoch boundary. Seeds fix fold assignment, weight init, batch shuffling, and
 augmentation draws, so a rerun reproduces its reports byte for byte.
 
 Training and evaluation both read ahead: one loader thread reads the next
-batch's clips (augmenting them when training) and cuts them into the cube
-matrix the model takes, while the current batch runs.
+batch's clips, augmenting them when training, while the current batch runs.
+For training it cuts them into the cube matrix, which the step embeds inside
+its graph; for evaluation it also embeds them, with no graph, so the forward
+gets only the tokens.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ def cyclic_lr(step: int, base_lr: float, max_lr: float, cycle_len: int) -> float
 
 def batch_loss(model: Model, cubes: T.Tensor, labels: np.ndarray,
                state: L.AdCorreState, params: L.HPLossParams):
-    """Forward the batch's cubes and build the run's loss
+    """Embed and forward the batch's cubes and build the run's loss
     (``RunConfig.loss_params``) as one scalar graph."""
-    logits_b, emb_b = model.forward(cubes)
+    logits_b, emb_b = model.forward(model.embed(cubes))
     return L.hp_loss(logits_b, labels, emb_b, state, params)
 
 
@@ -127,20 +129,24 @@ class KFoldResult:
 def evaluate_subjects(model: Model, cohort: Cohort,
                       subjects: Sequence[str]) -> tuple[dict, dict, int, int]:
     """Un-augmented clip probabilities aggregated per subject; also counts
-    argmax-correct clips. The loader thread reads subject k+1's clips and
-    cuts its cubes while subject k runs forward."""
+    argmax-correct clips. The loader thread reads subject k+1's clips, cuts
+    their cubes and embeds them while subject k runs forward, so the cube
+    matrix dies inside the load and the forward gets only the tokens."""
     def load(subject):
         idxs = cohort.clips_of(subject)
-        # clip by clip, so each raw clip dies once partitioned
-        return subject, idxs, model.cubes((cohort.frames(i) for i in idxs), len(idxs))
+        # no_grad holds per thread, so the loader enters it itself
+        with T.no_grad():
+            # clip by clip, so each raw clip dies once partitioned
+            return subject, idxs, model.embed(
+                model.cubes((cohort.frames(i) for i in idxs), len(idxs)))
 
     scores: dict[str, float] = {}
     labels: dict[str, int] = {}
     correct = total = 0
     with _loader() as loader:
-        for subject, idxs, cubes in _read_ahead(loader, load, subjects):
-            probs = model.clip_probability(cubes)
-            del cubes   # freed before the loader starts the subject after next
+        for subject, idxs, tokens in _read_ahead(loader, load, subjects):
+            probs = model.clip_probability(tokens)
+            del tokens   # freed before the loader starts the subject after next
             true = np.array([cohort.records[i].label for i in idxs])
             correct += int(np.sum((probs >= 0.5) == true))
             total += len(idxs)

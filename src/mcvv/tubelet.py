@@ -6,7 +6,9 @@ Shapes carry a leading batch axis: B clips [B,T,H,W,C] -> cubes [B, N, cube]
 is time-major: index = tau * n_h * n_w + row * n_w + col, with each cube
 flattened row-major over (t, h, w, C). Trailing frames/pixels that do not
 fill a whole cube are discarded. Partitioning is data preparation, done
-before the forward; embedding is the forward's first step.
+before the forward. Embedding turns the cubes into the tokens the forward
+takes (see `mcvv.model.Model.embed`): inside the training step's graph, or
+on evaluation's loader thread, where it records no graph.
 """
 
 from __future__ import annotations

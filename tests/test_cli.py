@@ -140,13 +140,14 @@ def test_usage_error_exit_code():
     (["train", "--epsilon", "-5"], "epsilon"),
     (["train", "--base-lr", "-1"], "base_lr"),
     (["kfold", "--max-lr", "-1"], "max_lr"),
+    (["train", "--mlp-hidden", "0"], "mlp_hidden"),
 ], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
         "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell", "epochs",
         "max-steps", "channels", "hw", "noise", "clip-len", "mci", "gen-data-seed",
         "train-seed", "kfold-seed", "ablate-seed", "gradcheck-seed", "noise-nan",
         "max-lr-inf", "ablate-seeds", "ablate-workers-zero",
         "ablate-workers-negative", "epsilon-negative", "base-lr-negative",
-        "max-lr-negative"])
+        "max-lr-negative", "mlp-hidden-zero"])
 def test_bad_config_value_is_one_line_usage_error(argv, key, dataset, tmp_path, capsys):
     """``key``, when given, is the run key the message must name."""
     command, *flags = argv

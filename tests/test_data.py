@@ -1,6 +1,7 @@
 """Augmentation, fold planning, tensor files, and cohort generation and loading."""
 
 import csv
+import hashlib
 import re
 import tracemalloc
 from pathlib import Path
@@ -165,6 +166,26 @@ def test_degenerate_extents_match_two_pass(shape):
     params = D.AugmentParams(flip_h=True, flip_v=True, angle_deg=-12.0, crop=True)
     np.testing.assert_allclose(D.apply_augment(smooth, params),
                                _two_pass_reference(smooth, params), rtol=0, atol=5e-3)
+
+
+# Digests of apply_augment's output for the clips below, from the
+# implementation that transposed values one by one; moving each pixel's
+# channels as one item must leave every bit as it was.
+AUGMENT_DIGESTS = {
+    ("float32", 1): "0ce79bb8073cb8741d689906a4d59e793f950f185041c36b8d11567dbde7176d",
+    ("float32", 3): "62893a9bce3fdd0cdb67e29bca5e6cc3d1837792921d38a8dc40fa91ebe95dd1",
+    ("float64", 1): "63a2ed2aa3a77a2a5df1acdf3b28cae971cbb387b552f01a84925eb5aa169461",
+    ("float64", 3): "b30e4c1975fe4a0e4125d1dbc6ae28f6d50fab3b916d5f95e1f7dd8cd650b61c",
+}
+
+
+@pytest.mark.parametrize("dtype, channels", sorted(AUGMENT_DIGESTS))
+def test_augment_output_pinned_bit_for_bit(dtype, channels):
+    clip = np.random.default_rng(5).random((5, 11, 9, channels)).astype(dtype)
+    params = D.AugmentParams(flip_h=True, flip_v=False, angle_deg=-9.5, crop=True)
+    out = D.apply_augment(clip, params)
+    assert out.dtype == clip.dtype
+    assert hashlib.sha256(out.tobytes()).hexdigest() == AUGMENT_DIGESTS[dtype, channels]
 
 
 # -- fold planning ----------------------------------------------------------------------------

@@ -196,11 +196,12 @@ def test_class_row_probabilities_match_all_rows_bit_for_bit(all_rows):
     # a 12-clip subject as evaluation scores it, and a 16-clip training batch
     model = Model(ModelConfig(), seed=14)
     rng = np.random.default_rng(15)
-    cubes = [model.cubes(rng.random((b, 16, 64, 64, 3), dtype=np.float32)) for b in (12, 16)]
-    class_row = [model.clip_probability(c) for c in cubes]
+    tokens = [model.embed(model.cubes(rng.random((b, 16, 64, 64, 3), dtype=np.float32)))
+              for b in (12, 16)]
+    class_row = [model.clip_probability(x) for x in tokens]
     all_rows()
-    for c, probs in zip(cubes, class_row):
-        assert np.array_equal(probs, model.clip_probability(c))
+    for x, probs in zip(tokens, class_row):
+        assert np.array_equal(probs, model.clip_probability(x))
 
 
 def test_class_row_gradients_match_all_rows(all_rows):

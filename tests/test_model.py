@@ -9,7 +9,6 @@ from mcvv import data as D
 from mcvv import encoder as E
 from mcvv import model as MD
 from mcvv import tensor as T
-from mcvv import tubelet as TB
 from mcvv.encoder import EncoderConfig
 from mcvv.model import Model, ModelConfig
 from mcvv.tensor import Tensor
@@ -24,10 +23,15 @@ def tiny_cfg(t=4, d=16, mlp_hidden=16, multi_branch=True):
                        multi_branch=multi_branch)
 
 
+def _forward(model, clips):
+    """Logits and embeddings of B clips, cut, embedded and forwarded as one graph."""
+    return model.forward(model.embed(model.cubes(clips)))
+
+
 def test_forward_shapes_mc():
     model = Model(tiny_cfg(), seed=0)
     clip = np.random.default_rng(1).random((8, 16, 16, 3)).astype(np.float32)
-    logits, emb = [out[0] for out in model.forward(model.cubes(clip[None]))]
+    logits, emb = [out[0] for out in _forward(model, clip[None])]
     assert logits.shape == (2,)
     assert emb.shape == (model.head.embedding_dim,)
 
@@ -35,7 +39,7 @@ def test_forward_shapes_mc():
 def test_forward_shapes_nomc():
     model = Model(tiny_cfg(multi_branch=False), seed=0)
     clip = np.random.default_rng(1).random((8, 16, 16, 3)).astype(np.float32)
-    logits, emb = [out[0] for out in model.forward(model.cubes(clip[None]))]
+    logits, emb = [out[0] for out in _forward(model, clip[None])]
     assert logits.shape == (2,)
     assert emb.shape == (model.head.embedding_dim,)
 
@@ -43,8 +47,8 @@ def test_forward_shapes_nomc():
 def test_forward_deterministic():
     model = Model(tiny_cfg(), seed=3)
     clip = np.random.default_rng(2).random((8, 16, 16, 3)).astype(np.float32)
-    a = model.forward(model.cubes(clip[None]))[0].data
-    b = model.forward(model.cubes(clip[None]))[0].data
+    a = _forward(model, clip[None])[0].data
+    b = _forward(model, clip[None])[0].data
     np.testing.assert_array_equal(a, b)
 
 
@@ -68,21 +72,21 @@ def test_temporal_dim_variants():
         model = Model(tiny_cfg(t=t), seed=0)
         assert model.counts[0] == n_t
         clip = np.random.default_rng(0).random((8, 16, 16, 3)).astype(np.float32)
-        assert model.forward(model.cubes(clip[None]))[0][0].shape == (2,)
+        assert _forward(model, clip[None])[0][0].shape == (2,)
 
 
 def test_clip_probability_range():
     model = Model(tiny_cfg(), seed=0)
     clip = np.random.default_rng(4).random((8, 16, 16, 3)).astype(np.float32)
-    p = model.clip_probability(model.cubes(clip[None]))[0]
+    p = model.clip_probability(model.embed(model.cubes(clip[None])))[0]
     assert 0.0 <= p <= 1.0
 
 
 def test_clip_probability_records_no_graph_and_matches_a_recording_forward():
     model = Model(tiny_cfg(), seed=0)
     clips = np.random.default_rng(5).random((3, 8, 16, 16, 3)).astype(np.float32)
-    cubes = model.cubes(clips)
-    logits, _ = model.forward(cubes)
+    tokens = model.embed(model.cubes(clips))
+    logits, _ = model.forward(tokens)
     assert logits.requires_grad
     expected = T.softmax(logits, axis=-1).data[:, 1]
 
@@ -94,7 +98,7 @@ def test_clip_probability_records_no_graph_and_matches_a_recording_forward():
         return outputs[-1]
 
     model.forward = watched
-    probs = model.clip_probability(cubes)
+    probs = model.clip_probability(tokens)
     assert probs.tobytes() == expected.tobytes()
     assert all(not t.requires_grad and t._parents == () for t in outputs[0])
 
@@ -112,7 +116,7 @@ def _assert_parameters_equal(model, snapshot):
 def test_checkpoint_roundtrip(tmp_path):
     model = Model(tiny_cfg(), seed=7)
     clip = np.random.default_rng(5).random((8, 16, 16, 3)).astype(np.float32)
-    before = model.forward(model.cubes(clip[None]))[0].data.copy()
+    before = _forward(model, clip[None])[0].data.copy()
 
     MD.save_checkpoint(model, tmp_path / "ckpt")
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
@@ -120,10 +124,10 @@ def test_checkpoint_roundtrip(tmp_path):
     assert (sorted(p.name for p in (tmp_path / "ckpt" / "params").iterdir())
             == sorted(f"{name}.mcvv" for name, _ in model.named_parameters()))
     fresh = Model(tiny_cfg(), seed=99)
-    assert not np.allclose(fresh.forward(fresh.cubes(clip[None]))[0].data, before)
+    assert not np.allclose(_forward(fresh, clip[None])[0].data, before)
     MD.load_checkpoint(fresh, tmp_path / "ckpt")
     _assert_parameters_equal(fresh, _snapshot(model))
-    np.testing.assert_array_equal(fresh.forward(fresh.cubes(clip[None]))[0].data, before)
+    np.testing.assert_array_equal(_forward(fresh, clip[None])[0].data, before)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -250,29 +254,28 @@ def test_batched_forward_matches_per_clip(multi_branch):
     cfg = model.cfg
     rng = np.random.default_rng(11)
     clips = rng.random((4, cfg.clip_len, cfg.height, cfg.width, cfg.channels)).astype(np.float32)
-    logits, emb = model.forward(model.cubes(clips))
+    logits, emb = _forward(model, clips)
     assert logits.shape == (4, 2)
     assert emb.shape == (4, model.head.embedding_dim)
     for j, clip in enumerate(clips):
-        one_logits, one_emb = model.forward(model.cubes(clip[None]))
+        one_logits, one_emb = _forward(model, clip[None])
         np.testing.assert_allclose(logits.data[j], one_logits.data[0], rtol=0, atol=1e-5)
         np.testing.assert_allclose(emb.data[j], one_emb.data[0], rtol=0, atol=1e-5)
 
     j = 2
     changed = clips.copy()
     changed[j] = rng.random(changed[j].shape)
-    other = model.forward(model.cubes(changed))[0].data
+    other = _forward(model, changed)[0].data
     keep = [i for i in range(len(clips)) if i != j]
     np.testing.assert_array_equal(other[keep], logits.data[keep])
     assert not np.allclose(other[j], logits.data[j])
 
 
-def _four_branch_probability(model, cubes, branch_w, branch_b):
+def _four_branch_probability(model, tokens, branch_w, branch_b):
     """Class-1 probabilities of a head that runs each branch as its own
     linear and concatenates their outputs, on ``model``'s other weights."""
     head = model.head
     with T.no_grad():
-        tokens = TB.embed(cubes, model.proj, model.cls_token, model.pos, model.counts)
         feature = E.encoder_forward(tokens, model.counts[0], model.cfg.encoder, model.encoder)
         x1 = T.linear(feature, head.fc1_w, head.fc1_b)
         emb = T.concat([T.linear(x1, Tensor(w), Tensor(b))
@@ -292,6 +295,7 @@ def test_stacked_branches_match_four_branch_head_bit_for_bit(batch):
     model.head.branch_b.data = np.concatenate(branch_b)
     clips = rng.random((batch, cfg.clip_len, cfg.height, cfg.width,
                         cfg.channels)).astype(np.float32)
-    cubes = model.cubes(clips)
-    assert np.array_equal(model.clip_probability(cubes),
-                          _four_branch_probability(model, cubes, branch_w, branch_b))
+    with T.no_grad():
+        tokens = model.embed(model.cubes(clips))
+    assert np.array_equal(model.clip_probability(tokens),
+                          _four_branch_probability(model, tokens, branch_w, branch_b))

@@ -13,6 +13,7 @@ from mcvv import loss as L
 from mcvv import metrics as M
 from mcvv import tensor as T
 from mcvv import train as TR
+from mcvv import tubelet as TB
 from mcvv.config import LOSS_MODES, RunConfig
 from mcvv.encoder import EncoderConfig
 from mcvv.model import Model, ModelConfig
@@ -321,7 +322,8 @@ def test_evaluation_matches_a_serial_loop(tmp_path):
     expected, expected_correct = {}, 0
     for subject in subjects:
         idxs = cohort.clips_of(subject)
-        probs = model.clip_probability(model.cubes([cohort.frames(i) for i in idxs]))
+        probs = model.clip_probability(
+            model.embed(model.cubes([cohort.frames(i) for i in idxs])))
         expected_correct += int(np.sum((probs >= 0.5)
                                        == [cohort.records[i].label for i in idxs]))
         expected[subject], _ = M.aggregate_subject(probs)
@@ -329,6 +331,33 @@ def test_evaluation_matches_a_serial_loop(tmp_path):
     assert scores == expected   # bit for bit
     assert labels == {s: cohort.subject_label(s) for s in subjects}
     assert (correct, total) == (expected_correct, len(cohort))
+
+
+def test_evaluation_embeds_on_the_loader_thread_and_hands_over_graphless_tokens(
+        tmp_path, monkeypatch):
+    cohort = tiny_cohort(tmp_path)
+    model = Model(tiny_model_cfg(), seed=0)
+    subjects = cohort.subject_ids()
+    embed_threads, handed = [], []
+    real_embed, real_probability = TB.embed, Model.clip_probability
+
+    def embed(*args):
+        embed_threads.append(threading.get_ident())
+        return real_embed(*args)
+
+    def watched(self, tokens):
+        handed.append(tokens)
+        return real_probability(self, tokens)
+
+    monkeypatch.setattr(TB, "embed", embed)
+    monkeypatch.setattr(Model, "clip_probability", watched)
+    TR.evaluate_subjects(model, cohort, subjects)
+    assert len(embed_threads) == len(subjects)
+    assert threading.get_ident() not in embed_threads
+    n_tokens = int(np.prod(model.counts)) + 1
+    assert [t.shape for t in handed] == [(len(cohort.clips_of(s)), n_tokens, model.cfg.encoder.d)
+                                         for s in subjects]
+    assert all(not t.requires_grad and t._parents == () for t in handed)
 
 
 @pytest.mark.parametrize("truncate", [False, True])
@@ -343,9 +372,9 @@ def test_loader_thread_and_blas_threads_end_with_the_evaluation(truncate, tmp_pa
     seen = []
     real = Model.clip_probability
 
-    def watched(self, cubes):
+    def watched(self, tokens):
         seen.append(_blas_threads())
-        return real(self, cubes)
+        return real(self, tokens)
 
     monkeypatch.setattr(Model, "clip_probability", watched)
     threads, blas = threading.active_count(), _blas_threads()

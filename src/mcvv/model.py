@@ -7,8 +7,10 @@ verification) and runs B clips in three steps: `Model.cubes` cuts the clips
 into the cube matrix [B, N, cube], `Model.embed` turns it into tokens
 [B, N+1, d], and `Model.forward` maps the tokens to logits [B, 2] over
 `data.LABEL_NAMES` plus the embeddings [B, E] feeding the discriminator
-loss. Training runs embed and forward as one graph; evaluation embeds on its
-loader thread, so only the tokens reach the forward.
+loss. Training runs embed and forward as one graph. Evaluation's loader
+thread runs embed's two steps itself (`tubelet.embed` on one clip's cubes at
+a time, then `tubelet.add_class_and_positions` once per subject), so only
+the tokens reach the forward.
 """
 
 from __future__ import annotations
@@ -65,17 +67,18 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def cubes(self, clips, batch: int | None = None) -> Tensor:
+    def cubes(self, clips, batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
         """B clips ([B,T,H,W,C], or an iterable of [T,H,W,C] clips, with
         ``batch`` giving B where it has no length) -> the [B, N, cube]
-        constant `embed` takes, in the model's cubes and dtype."""
-        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch)
+        constant `embed` takes, in the model's cubes and dtype, written into
+        ``out`` when given (see `tubelet.tubelet_partition`)."""
+        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch, out)
 
     def embed(self, cubes: Tensor) -> Tensor:
         """[B, N, cube] cubes (see `cubes`) -> the [B, N+1, d] tokens
         `forward` takes: each cube projected, the class token first, the
         positional embedding added."""
-        return TB.embed(cubes, self.proj, self.cls_token, self.pos, self.counts)
+        return TB.add_class_and_positions(TB.embed(cubes, self.proj), self.cls_token, self.pos)
 
     def forward(self, tokens: Tensor) -> tuple[Tensor, Tensor]:
         """[B, N+1, d] tokens (see `embed`) -> (logits [B, 2],
@@ -157,7 +160,7 @@ def load_checkpoint(model: Model, out_dir: Path | str) -> None:
         if not np.isfinite(arr).all():
             raise D.DataError(f"{out_dir}: non-finite weights in '{name}'")
     for name, arr in arrays.items():
-        named[name].data = arr.astype(model.dtype)
+        named[name].data = arr.astype(model.dtype, copy=False)
 
 
 # -- full-model gradient verification ------------------------------------------------------

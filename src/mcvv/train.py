@@ -10,8 +10,10 @@ augmentation draws, so a rerun reproduces its reports byte for byte.
 Training and evaluation both read ahead: one loader thread reads the next
 batch's clips, augmenting them when training, while the current batch runs.
 For training it cuts them into the cube matrix, which the step embeds inside
-its graph; for evaluation it also embeds them, with no graph, so the forward
-gets only the tokens.
+its graph. For evaluation it embeds a subject clip by clip, with no graph:
+each clip is cut into one reused cube block and projected into its rows of
+the subject's tokens, so no subject-wide cube matrix is built and the
+forward gets only the tokens.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from mcvv import loss as L
 from mcvv import metrics as M
 from mcvv import tensor as T
+from mcvv import tubelet as TB
 from mcvv.config import RunConfig
 from mcvv.data import Cohort, FoldPlan, augment_clip, plan_folds
 from mcvv.model import Model, ModelConfig
@@ -129,16 +132,22 @@ class KFoldResult:
 def evaluate_subjects(model: Model, cohort: Cohort,
                       subjects: Sequence[str]) -> tuple[dict, dict, int, int]:
     """Un-augmented clip probabilities aggregated per subject; also counts
-    argmax-correct clips. The loader thread reads subject k+1's clips, cuts
-    their cubes and embeds them while subject k runs forward, so the cube
-    matrix dies inside the load and the forward gets only the tokens."""
+    argmax-correct clips. The loader thread embeds subject k+1 while subject
+    k runs forward: it reads one clip at a time, cuts it into the one [1, N,
+    cube] block every clip reuses and projects the block to the clip's
+    [1, N, d] rows; then it stacks the rows and adds the class token and
+    positions once per subject. So no subject-wide cube matrix is built, and
+    the forward gets only the tokens."""
+    block = np.empty((1, int(np.prod(model.counts)), model.proj.shape[0]), model.dtype)
+
     def load(subject):
         idxs = cohort.clips_of(subject)
         # no_grad holds per thread, so the loader enters it itself
         with T.no_grad():
-            # clip by clip, so each raw clip dies once partitioned
-            return subject, idxs, model.embed(
-                model.cubes((cohort.frames(i) for i in idxs), len(idxs)))
+            projected = [TB.embed(model.cubes([cohort.frames(i)], out=block), model.proj)
+                         for i in idxs]
+            return subject, idxs, TB.add_class_and_positions(
+                T.concat(projected, axis=0), model.cls_token, model.pos)
 
     scores: dict[str, float] = {}
     labels: dict[str, int] = {}

@@ -2,13 +2,18 @@
 and embed them.
 
 Shapes carry a leading batch axis: B clips [B,T,H,W,C] -> cubes [B, N, cube]
--> tokens [B, N+1, d], with N = n_t * n_h * n_w. Token order within a clip
-is time-major: index = tau * n_h * n_w + row * n_w + col, with each cube
-flattened row-major over (t, h, w, C). Trailing frames/pixels that do not
-fill a whole cube are discarded. Partitioning is data preparation, done
-before the forward. Embedding turns the cubes into the tokens the forward
-takes (see `mcvv.model.Model.embed`): inside the training step's graph, or
-on evaluation's loader thread, where it records no graph.
+-> projected cubes [B, N, d] -> tokens [B, N+1, d], with
+N = n_t * n_h * n_w. Token order within a clip is time-major:
+index = tau * n_h * n_w + row * n_w + col, with each cube flattened
+row-major over (t, h, w, C). Trailing frames/pixels that do not fill a whole
+cube are discarded, so clips of one batch need only cut into the same cubes.
+Partitioning is data preparation, done before the forward, into a new array
+or a caller's. Embedding takes two steps: `embed` projects each cube, and
+`add_class_and_positions` prepends the class token and adds the positional
+embedding. Training runs both inside the step's graph (see
+`mcvv.model.Model.embed`); evaluation's loader thread projects one clip at a
+time and adds the class token and positions once per subject, recording no
+graph.
 """
 
 from __future__ import annotations
@@ -41,34 +46,45 @@ def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tu
 
 
 def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
-                      batch: int | None = None) -> Tensor:
+                      batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
     """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant leaf).
 
-    ``clips`` is a [B,T,H,W,C] array or an iterable of B equally shaped
-    [T,H,W,C] clips; ``batch`` gives B where the iterable has no length.
-    Clips are taken one at a time, and each clip's cubes are written into
-    its slot of the output before the next is taken, so an iterable that
-    reads clips as it yields them never holds a batch of raw clips. The
-    output dtype is ``dtype``, or the first clip's when None.
+    ``clips`` is a [B,T,H,W,C] array or an iterable of B [T,H,W,C] clips;
+    ``batch`` gives B where the iterable has no length. Each clip is cut to
+    the region its whole cubes cover, so clips may differ in trailing frames
+    and pixels, but not in token counts or channels. Clips are taken one at a
+    time, and each clip's cubes are written into its slot of the output
+    before the next is taken, so an iterable that reads clips as it yields
+    them never holds a batch of raw clips. The output dtype is ``dtype``, or
+    the first clip's when None. The cubes are written into ``out`` when it is
+    given, a C-contiguous array of the output's shape and dtype, so a caller
+    can reuse one array across batches; the tensor then wraps ``out``.
     """
     if batch is None:
         batch = len(clips)
     if batch < 1:
         raise T.ShapeError(f"a batch needs B >= 1 clips, got B = {batch}")
-    out = shape = None
+    shape = cut = None
     taken = 0
     for clip in clips:
         clip = np.asarray(clip)
-        if out is None:
-            shape = clip.shape
-            if len(shape) != 4:
-                raise T.ShapeError(f"clips must be [T,H,W,C], got shape {shape}")
-            frames, height, width, channels = shape
-            n_t, n_h, n_w = token_counts(cfg, frames, height, width)
-            out = np.empty((batch, n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels),
-                           dtype=clip.dtype if dtype is None else dtype)
-        elif clip.shape != shape:
-            raise T.ShapeError(f"clip {taken} has shape {clip.shape}, clip 0 {shape}")
+        if clip.ndim != 4:
+            raise T.ShapeError(f"clips must be [T,H,W,C], got shape {clip.shape}")
+        frames, height, width, channels = clip.shape
+        n_t, n_h, n_w = token_counts(cfg, frames, height, width)
+        if cut is None:
+            shape, cut = clip.shape, (n_t, n_h, n_w, channels)
+            expected = (batch, n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels)
+            dtype = clip.dtype if dtype is None else np.dtype(dtype)
+            if out is None:
+                out = np.empty(expected, dtype=dtype)
+            elif (out.shape, out.dtype) != (expected, dtype) or not out.flags.c_contiguous:
+                raise T.ShapeError(f"out is {out.dtype} {out.shape}, expected a contiguous "
+                                   f"{dtype} {expected}")
+        elif (n_t, n_h, n_w, channels) != cut:
+            raise T.ShapeError(f"clip {taken} has shape {clip.shape}, clip 0 {shape}: as "
+                               f"(n_t, n_h, n_w, C) they cut into {(n_t, n_h, n_w, channels)} "
+                               f"and {cut}")
         if taken == batch:
             raise T.ShapeError(f"more than the batch of {batch} clips")
         region = clip[:n_t * cfg.t, :n_h * cfg.h, :n_w * cfg.w, :]
@@ -82,25 +98,29 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
     return Tensor(out)
 
 
-def embed(cubes: Tensor, proj: Tensor, cls_token: Tensor, pos: Tensor,
-          counts: tuple[int, int, int]) -> Tensor:
-    """[B, N, cube] cubes -> [B, N+1, d] tokens: project each cube, prepend
-    the class token, add the positional embedding."""
-    n_t, n_h, n_w = counts
-    n_tokens = n_t * n_h * n_w
-    d = proj.shape[-1]
-    if cubes.ndim != 3 or cubes.shape[1] != n_tokens:
-        raise T.ShapeError(f"cubes shape {cubes.shape}, expected (B, {n_tokens}, cube)")
+def embed(cubes: Tensor, proj: Tensor) -> Tensor:
+    """[B, N, cube] cubes -> [B, N, d]: each cube projected by ``proj``
+    [cube, d]. The first step of embedding; `add_class_and_positions` is the
+    second."""
+    if cubes.ndim != 3:
+        raise T.ShapeError(f"cubes shape {cubes.shape}, expected (B, N, cube)")
+    b, n_tokens, cube = cubes.shape
+    # Project as one [B*N, cube] matrix: the weight gradient is then one GEMM,
+    # with no [B, cube, d] stack of per-clip products to sum.
+    flat = T.reshape(cubes, (b * n_tokens, cube))
+    return T.reshape(T.matmul(flat, proj), (b, n_tokens, proj.shape[-1]))
+
+
+def add_class_and_positions(projected: Tensor, cls_token: Tensor, pos: Tensor) -> Tensor:
+    """[B, N, d] projected cubes (see `embed`) -> [B, N+1, d] tokens: the
+    class token prepended, the positional embedding added."""
+    if projected.ndim != 3:
+        raise T.ShapeError(f"projected cubes shape {projected.shape}, expected (B, N, d)")
+    b, n_tokens, d = projected.shape
     if cls_token.shape != (d,):
         raise T.ShapeError(f"class token shape {cls_token.shape}, expected ({d},)")
     if pos.shape != (n_tokens + 1, d):
         raise T.ShapeError(f"positional embedding shape {pos.shape}, "
                            f"expected ({n_tokens + 1}, {d})")
-    b = cubes.shape[0]
-    # Project as one [B*N, cube] matrix: the weight gradient is then one GEMM,
-    # with no [B, cube, d] stack of per-clip products to sum.
-    flat = T.reshape(cubes, (b * n_tokens, cubes.shape[2]))
-    projected = T.reshape(T.matmul(flat, proj), (b, n_tokens, d))
     cls = T.repeat(T.reshape(cls_token, (1, 1, d)), b, axis=0)
-    tokens = T.concat([cls, projected], axis=1)
-    return T.add(tokens, pos)
+    return T.add(T.concat([cls, projected], axis=1), pos)

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion. The learnability and ablation criteria train real models and,
 with the full-model gradient check, take most of the time (about a minute
-in total on a 2-vCPU machine).
+in total on a 2-vCPU machine). Those three carry the ``slow`` marker, so
+`pytest -m "not slow"` runs everything else.
 """
 
 import json
@@ -12,6 +13,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from mcvv import cli
 from mcvv import data as D
@@ -36,6 +38,7 @@ def _report(criterion: int, text: str) -> None:
 # -- criterion 1: gradient correctness end to end -------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_full_model_gradients():
     start = time.perf_counter()
     err, n_params = full_model_gradcheck(seed=0)
@@ -223,6 +226,7 @@ def test_criterion_5_metric_oracles():
 # -- criterion 6: desk-scale learnability ---------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_learnability(tmp_path):
     start = time.perf_counter()
     spec = D.CohortSpec(mci=20, nc=12, frames_min=128,
@@ -253,6 +257,7 @@ def test_criterion_6_learnability(tmp_path):
 # -- criterion 7: ablation directionality ------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_directionality(tmp_path):
     spec = D.CohortSpec(mci=12, nc=7, frames_min=64,
                         frames_max=128, clip_len=8, hw=16,

@@ -260,6 +260,32 @@ def test_clips_with_trailing_frames_and_pixels_fit(long_dataset, tmp_path):
                      "--out", str(tmp_path / "eval.json")]) == cli.EXIT_OK
 
 
+def test_clips_of_one_batch_may_differ_in_trailing_frames(tmp_path):
+    # one clip gains a 17th frame, which fills no 2-frame cube: train and eval
+    # cut it back to 16 frames, so every output equals that of the cohort
+    # without the extra frame
+    gen = ["--mci", "2", "--nc", "2", "--hw", "16", "--clip-len", "16",
+           "--frames-min", "32", "--frames-max", "32", "--seed", "1"]
+    run = ["--hw", "16", "--clip-len", "16", "--t", "2", "--h", "4", "--w", "4", "--d", "16",
+           "--heads", "2", "--mlp-hidden", "16", "--l-fold", "1", "--batch-size", "4",
+           "--max-steps", "3"]
+    outputs = {}
+    for name in ("cut", "long"):
+        data = tmp_path / name
+        assert cli.main(["gen-data", "--out", str(data)] + gen) == cli.EXIT_OK
+        if name == "long":
+            clip = data / D.Cohort(data).records[1].clip_path
+            frames = D.read_tensor_file(clip)
+            D.write_tensor_file(clip, np.concatenate([frames, frames[-1:] * 0.5]))
+        ckpt, report = tmp_path / f"ckpt-{name}", tmp_path / f"eval-{name}.json"
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt)] + run) == cli.EXIT_OK
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                         "--out", str(report)]) == cli.EXIT_OK
+        outputs[name] = [report.read_bytes()] + [
+            path.read_bytes() for path in sorted(ckpt.rglob("*")) if path.is_file()]
+    assert outputs["long"] == outputs["cut"]
+
+
 def test_ablate_checks_the_fit_of_every_t(long_dataset, tmp_path, capsys):
     # t=4 and t=8 cut 10 frames as they cut 8, but t=2 makes 5 cubes, not 4
     argv = _argv_on_data("ablate", long_dataset, [], tmp_path)

@@ -285,7 +285,7 @@ def test_desk_scale_forward_backward_speed():
 
     start = time.perf_counter()
     cubes = TB.tubelet_partition(clip[None], tub)
-    seq = TB.embed(cubes, proj, cls_token, pos, counts)
+    seq = TB.add_class_and_positions(TB.embed(cubes, proj), cls_token, pos)
     out = E.encoder_forward(seq, counts[0], cfg, params)
     T.backward(T.tsum(T.mul(out, out)))
     elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -314,23 +315,34 @@ def test_evaluation_ignores_augmentation(tmp_path):
     assert a[0] == b[0]
 
 
+def default_geometry_cohort(tmp_path, subjects_per_class=1):
+    """Subjects of 12 clips at the default model's 16x64x64 geometry."""
+    return tiny_cohort(tmp_path, mci=subjects_per_class, nc=subjects_per_class,
+                       frames_min=192, frames_max=192, clip_len=16, hw=64)
+
+
 def test_evaluation_matches_a_serial_loop(tmp_path):
-    cohort = tiny_cohort(tmp_path)
-    model = Model(tiny_model_cfg(), seed=0)
-    subjects = cohort.subject_ids()
-    scores, labels, correct, total = TR.evaluate_subjects(model, cohort, subjects)
-    expected, expected_correct = {}, 0
-    for subject in subjects:
-        idxs = cohort.clips_of(subject)
-        probs = model.clip_probability(
-            model.embed(model.cubes([cohort.frames(i) for i in idxs])))
-        expected_correct += int(np.sum((probs >= 0.5)
-                                       == [cohort.records[i].label for i in idxs]))
-        expected[subject], _ = M.aggregate_subject(probs)
-    assert list(scores) == subjects
-    assert scores == expected   # bit for bit
-    assert labels == {s: cohort.subject_label(s) for s in subjects}
-    assert (correct, total) == (expected_correct, len(cohort))
+    # the loader projects clip by clip; the reference projects each subject's
+    # cubes as one matrix, which rounds alike at the tiny and the default
+    # geometry (the tiny cohort's subjects have at most 7 clips; see the
+    # pinned test below)
+    for cohort, model in [(tiny_cohort(tmp_path / "tiny"), Model(tiny_model_cfg(), seed=0)),
+                          (default_geometry_cohort(tmp_path / "default"),
+                           Model(ModelConfig(), seed=0))]:
+        subjects = cohort.subject_ids()
+        scores, labels, correct, total = TR.evaluate_subjects(model, cohort, subjects)
+        expected, expected_correct = {}, 0
+        for subject in subjects:
+            idxs = cohort.clips_of(subject)
+            probs = model.clip_probability(
+                model.embed(model.cubes([cohort.frames(i) for i in idxs])))
+            expected_correct += int(np.sum((probs >= 0.5)
+                                           == [cohort.records[i].label for i in idxs]))
+            expected[subject], _ = M.aggregate_subject(probs)
+        assert list(scores) == subjects
+        assert scores == expected   # bit for bit
+        assert labels == {s: cohort.subject_label(s) for s in subjects}
+        assert (correct, total) == (expected_correct, len(cohort))
 
 
 def test_evaluation_embeds_on_the_loader_thread_and_hands_over_graphless_tokens(
@@ -338,12 +350,13 @@ def test_evaluation_embeds_on_the_loader_thread_and_hands_over_graphless_tokens(
     cohort = tiny_cohort(tmp_path)
     model = Model(tiny_model_cfg(), seed=0)
     subjects = cohort.subject_ids()
-    embed_threads, handed = [], []
+    embed_threads, embedded, handed = [], [], []
     real_embed, real_probability = TB.embed, Model.clip_probability
 
-    def embed(*args):
+    def embed(cubes, proj):
         embed_threads.append(threading.get_ident())
-        return real_embed(*args)
+        embedded.append(cubes.shape)
+        return real_embed(cubes, proj)
 
     def watched(self, tokens):
         handed.append(tokens)
@@ -352,12 +365,47 @@ def test_evaluation_embeds_on_the_loader_thread_and_hands_over_graphless_tokens(
     monkeypatch.setattr(TB, "embed", embed)
     monkeypatch.setattr(Model, "clip_probability", watched)
     TR.evaluate_subjects(model, cohort, subjects)
-    assert len(embed_threads) == len(subjects)
+    # one projection per clip, each of one clip's cubes, all on the loader thread
+    assert embedded == [(1, int(np.prod(model.counts)), model.proj.shape[0])] * len(cohort)
     assert threading.get_ident() not in embed_threads
     n_tokens = int(np.prod(model.counts)) + 1
     assert [t.shape for t in handed] == [(len(cohort.clips_of(s)), n_tokens, model.cfg.encoder.d)
                                          for s in subjects]
     assert all(not t.requires_grad and t._parents == () for t in handed)
+
+
+def test_evaluation_pinned_where_per_clip_products_round_differently(tmp_path):
+    # At the tiny config one clip's projection, [8, 768] @ [768, 16], is small
+    # enough for OpenBLAS's small-matrix kernel, and a 12-clip subject's is
+    # not, so these scores differ in low bits from projecting each subject as
+    # one matrix. They equal a serial loop that projects clip by clip, and are
+    # pinned (x86-64 SkylakeX, OpenBLAS 0.3.31).
+    cohort = tiny_cohort(tmp_path, frames_min=96, frames_max=96)
+    model = Model(tiny_model_cfg(), seed=3)
+    subjects = cohort.subject_ids()[:3]
+    scores = TR.evaluate_subjects(model, cohort, subjects)[0]
+    for subject in subjects:
+        rows = [TB.embed(model.cubes([cohort.frames(i)]), model.proj)
+                for i in cohort.clips_of(subject)]
+        tokens = TB.add_class_and_positions(T.concat(rows, axis=0), model.cls_token, model.pos)
+        assert scores[subject] == M.aggregate_subject(model.clip_probability(tokens))[0]
+    assert [scores[s] for s in subjects] == [0.20515852297345796, 0.2034947524468104,
+                                             0.20709340646862984]
+
+
+def test_evaluation_never_holds_a_subject_cube_matrix(tmp_path):
+    cohort = default_geometry_cohort(tmp_path, subjects_per_class=2)
+    model = Model(ModelConfig(), seed=0)
+    subjects = cohort.subject_ids()
+    n_clips = len(cohort.clips_of(subjects[0]))
+    cube_matrix = model.cubes(np.zeros((n_clips, 16, 64, 64, 3), np.float32)).data.nbytes
+    tracemalloc.start()
+    try:
+        TR.evaluate_subjects(model, cohort, subjects)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cube_matrix, (peak, cube_matrix)
 
 
 @pytest.mark.parametrize("truncate", [False, True])

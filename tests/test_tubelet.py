@@ -138,6 +138,32 @@ def test_partition_rejects_mixed_shapes(as_generator):
         TB.tubelet_partition(source, TB.TubeletConfig(t=4, h=4, w=4), batch=3)
 
 
+def test_partition_cuts_each_clip_to_its_cubes():
+    # trailing frames and pixels that fill no cube may differ within a batch
+    cfg = TB.TubeletConfig(t=4, h=4, w=4)
+    clips = _clips(2) + _clips(1, shape=(11, 9, 10, 3))
+    np.testing.assert_array_equal(TB.tubelet_partition(clips, cfg).data,
+                                  TB.tubelet_partition([c[:8, :8, :8] for c in clips], cfg).data)
+
+
+def test_partition_fills_a_given_array():
+    cfg = TB.TubeletConfig(t=4, h=4, w=4)
+    out = np.empty((2, 8, 4 * 4 * 4 * 3), np.float32)
+    for seed in (5, 6):   # one array reused across batches
+        clips = _clips(2, seed=seed)
+        filled = TB.tubelet_partition(clips, cfg, np.float32, out=out)
+        assert filled.data is out
+        np.testing.assert_array_equal(out, TB.tubelet_partition(clips, cfg).data)
+
+
+@pytest.mark.parametrize("out", [np.empty((2, 8, 96), np.float32),          # shape
+                                 np.empty((2, 8, 192)),                     # dtype
+                                 np.empty((2, 8, 384), np.float32)[..., ::2]])   # strides
+def test_partition_rejects_an_unfit_out(out):
+    with pytest.raises(T.ShapeError, match="^out is "):
+        TB.tubelet_partition(_clips(2), TB.TubeletConfig(t=4, h=4, w=4), np.float32, out=out)
+
+
 @pytest.mark.parametrize("n,batch", [(2, 3), (4, 3), (0, 0)])
 def test_partition_rejects_a_clip_count_other_than_the_batch(n, batch):
     with pytest.raises(T.ShapeError):
@@ -158,11 +184,15 @@ def _embed_setup(dtype=np.float64, requires_grad=False):
     return cfg, cubes, proj, cls_token, pos, counts
 
 
+def _tokens(cubes, proj, cls_token, pos):
+    return TB.add_class_and_positions(TB.embed(cubes, proj), cls_token, pos)
+
+
 def test_embed_zero_projection_keeps_class_token():
     cfg, cubes, proj, cls_token, pos, counts = _embed_setup()
     zero_proj = Tensor(np.zeros_like(proj.data))
     zero_pos = Tensor(np.zeros_like(pos.data))
-    tokens = TB.embed(cubes, zero_proj, cls_token, zero_pos, counts)[0]
+    tokens = _tokens(cubes, zero_proj, cls_token, zero_pos)[0]
     np.testing.assert_array_equal(tokens.data[0], cls_token.data)
     assert (tokens.data[1:] == 0).all()
 
@@ -170,14 +200,14 @@ def test_embed_zero_projection_keeps_class_token():
 def test_embed_recovers_positional_embedding_for_zero_cubes():
     cfg, cubes, proj, cls_token, pos, counts = _embed_setup()
     zero_cubes = Tensor(np.zeros_like(cubes.data))
-    tokens = TB.embed(zero_cubes, proj, cls_token, pos, counts)[0]
+    tokens = _tokens(zero_cubes, proj, cls_token, pos)[0]
     np.testing.assert_array_equal(tokens.data[1:], pos.data[1:])
     np.testing.assert_allclose(tokens.data[0], cls_token.data + pos.data[0])
 
 
 def test_embed_length_invariant():
     cfg, cubes, proj, cls_token, pos, counts = _embed_setup()
-    tokens = TB.embed(cubes, proj, cls_token, pos, counts)[0]
+    tokens = _tokens(cubes, proj, cls_token, pos)[0]
     assert tokens.shape == (counts[0] * counts[1] * counts[2] + 1, 5)
 
 
@@ -187,7 +217,7 @@ def test_embed_projection_gradient():
     readout = rng.standard_normal((cubes.shape[1] + 1, 5))
 
     def f(params):
-        tokens = TB.embed(cubes, params[0], params[1], params[2], counts)[0]
+        tokens = _tokens(cubes, params[0], params[1], params[2])[0]
         return T.tsum(T.mul(tokens, Tensor(readout)))
 
     assert T.gradcheck(f, [proj, cls_token, pos]) < 1e-6

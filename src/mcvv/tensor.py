@@ -6,9 +6,11 @@ no operator or method aliases beyond indexing. Each operation records its
 parents and a gradient closure; ``backward`` walks the graph once in reverse
 topological order and accumulates gradients additively across fan-out. Two
 dtypes are supported, float32 (training) and float64 (verification); binary
-operations require matching dtypes. The only implicit broadcast is over
-leading batch axes (the smaller operand must equal the trailing shape of the
-larger one) -- anything else needs an explicit reshape/repeat.
+operations require matching dtypes. Only the elementwise ops (add, sub, mul)
+broadcast, and only over leading axes: the smaller operand must equal the
+trailing shape of the larger one. Anything else needs an explicit
+reshape/repeat. ``linear`` flattens its input's leading axes into the rows
+of one product with the weight; ``matmul`` needs equal batch axes.
 
 A graph lives until one ``backward`` consumes it, as PyTorch's default
 ``retain_graph=False`` does: once a node's gradient closure has run, the node
@@ -21,8 +23,9 @@ forward that is never differentiated (evaluation) builds no graph at all.
 Every operation checks its output for NaN/Inf and raises NonFiniteError
 naming the operation instead of letting bad values propagate. Operations
 that only move values (reshape, transpose, contiguous, getitem, concat,
-repeat) skip the check, which cannot fail on finite inputs; repeat's
-backward sums, so it can overflow, and keeps its gradient check.
+repeat, and the tubelet module's partition) skip the check, which cannot
+fail on finite inputs; repeat's backward sums, so it can overflow, and keeps
+its gradient check.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Ops whose outputs, and gradients but for repeat's sum, are finite whenever
 # their inputs are; see the module docstring.
 _MOVES_VALUES = frozenset({"reshape", "transpose", "contiguous", "getitem", "concat",
-                           "repeat"})
+                           "repeat", "partition"})
 _MOVES_GRADIENTS = _MOVES_VALUES - {"repeat"}
 
 
@@ -435,7 +438,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; either operand may carry extra leading batch axes."""
+    """Matrix product over the last two axes; any leading batch axes must be
+    equal in both operands. A layer's product with a weight is `linear`."""
     if not isinstance(b, Tensor):
         b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "matmul")
@@ -443,30 +447,47 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    la, lb = a.shape[:-2], b.shape[:-2]
-    if la != lb and la != () and lb != ():
+    if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch axes differ: {a.shape} @ {b.shape}")
     out_data = np.matmul(a.data, b.data)
 
     def grad_fn(g):
-        # A constant operand (such as embed's cube matrix) gets no gradient,
-        # which spares the GEMM that would compute and discard it.
-        ga = gb = None
-        if a.requires_grad:
-            ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _reduce_to(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
         return ga, gb
 
     return Tensor._from_op(out_data, (a, b), grad_fn, "matmul")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b); b broadcasts over the leading axes of the product."""
-    out = matmul(x, w)
+    """x [..., d] @ w [d, k] (+ b [k]) -> [..., k], as one op. x's leading
+    axes are flattened into the rows of one GEMM, so the forward, the input
+    gradient and the weight gradient are each one product; the bias is added
+    in place, and its gradient is one row sum. A constant x (such as embed's
+    cube matrix) gets no gradient, which spares the GEMM that would compute
+    and discard it."""
+    parents = (x, w) if b is None else (x, w, b)
+    for p in parents[1:]:
+        _check_dtypes(x, p, "linear")
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs x [..., d] and w [d, k], got {x.shape} @ {w.shape}")
+    d, k = w.shape
+    if b is not None and b.shape != (k,):
+        raise ShapeError(f"linear bias shape {b.shape}, expected ({k},)")
+    x2 = x.data.reshape(-1, d)   # a view wherever x's rows are laid out evenly
+    out2 = np.matmul(x2, w.data)
     if b is not None:
-        out = add(out, b)
-    return out
+        out2 += b.data
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, k)
+        gx = np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = np.matmul(x2.T, g2) if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, (g2.sum(axis=0) if b.requires_grad else None)
+
+    return Tensor._from_op(out2.reshape(x.shape[:-1] + (k,)), parents, grad_fn, "linear")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

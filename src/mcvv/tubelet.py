@@ -8,12 +8,13 @@ index = tau * n_h * n_w + row * n_w + col, with each cube flattened
 row-major over (t, h, w, C). Trailing frames/pixels that do not fill a whole
 cube are discarded, so clips of one batch need only cut into the same cubes.
 Partitioning is data preparation, done before the forward, into a new array
-or a caller's. Embedding takes two steps: `embed` projects each cube, and
-`add_class_and_positions` prepends the class token and adds the positional
-embedding. Training runs both inside the step's graph (see
-`mcvv.model.Model.embed`); evaluation's loader thread projects one clip at a
-time and adds the class token and positions once per subject, recording no
-graph.
+or a caller's; it only moves values, so it does not check them. Embedding
+takes two steps: `embed` projects each cube with one `tensor.linear`, which
+checks the projected values, and `add_class_and_positions` prepends the
+class token and adds the positional embedding. Training runs both inside
+the step's graph (see `mcvv.model.Model.embed`); evaluation's loader thread
+projects one clip at a time and adds the class token and positions once per
+subject, recording no graph.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tu
 
 def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
                       batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
-    """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant leaf).
+    """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant).
 
     ``clips`` is a [B,T,H,W,C] array or an iterable of B [T,H,W,C] clips;
     ``batch`` gives B where the iterable has no length. Each clip is cut to
@@ -56,9 +57,13 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
     time, and each clip's cubes are written into its slot of the output
     before the next is taken, so an iterable that reads clips as it yields
     them never holds a batch of raw clips. The output dtype is ``dtype``, or
-    the first clip's when None. The cubes are written into ``out`` when it is
-    given, a C-contiguous array of the output's shape and dtype, so a caller
-    can reuse one array across batches; the tensor then wraps ``out``.
+    the first clip's when None; float64 when that is not a float dtype the
+    engine supports. The cubes are written into ``out`` when it is given, a
+    C-contiguous array of the output's shape and dtype, so a caller can reuse
+    one array across batches; the tensor then wraps ``out``.
+    Partitioning only moves values, so, like `tensor.reshape`, it does not
+    check them for NaN/Inf: a non-finite clip is caught where `embed`
+    projects it.
     """
     if batch is None:
         batch = len(clips)
@@ -76,6 +81,8 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
             shape, cut = clip.shape, (n_t, n_h, n_w, channels)
             expected = (batch, n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels)
             dtype = clip.dtype if dtype is None else np.dtype(dtype)
+            if dtype not in (np.float32, np.float64):
+                dtype = np.dtype(np.float64)   # as `Tensor` converts any other dtype
             if out is None:
                 out = np.empty(expected, dtype=dtype)
             elif (out.shape, out.dtype) != (expected, dtype) or not out.flags.c_contiguous:
@@ -95,20 +102,16 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
         del clip, region   # before the iterable reads the next clip
     if taken != batch:
         raise T.ShapeError(f"{taken} clips for a batch of {batch}")
-    return Tensor(out)
+    return Tensor._from_op(out, (), None, "partition")
 
 
 def embed(cubes: Tensor, proj: Tensor) -> Tensor:
     """[B, N, cube] cubes -> [B, N, d]: each cube projected by ``proj``
-    [cube, d]. The first step of embedding; `add_class_and_positions` is the
-    second."""
+    [cube, d], as one `tensor.linear` (one [B*N, cube] GEMM). The first step
+    of embedding; `add_class_and_positions` is the second."""
     if cubes.ndim != 3:
         raise T.ShapeError(f"cubes shape {cubes.shape}, expected (B, N, cube)")
-    b, n_tokens, cube = cubes.shape
-    # Project as one [B*N, cube] matrix: the weight gradient is then one GEMM,
-    # with no [B, cube, d] stack of per-clip products to sum.
-    flat = T.reshape(cubes, (b * n_tokens, cube))
-    return T.reshape(T.matmul(flat, proj), (b, n_tokens, proj.shape[-1]))
+    return T.linear(cubes, proj)
 
 
 def add_class_and_positions(projected: Tensor, cls_token: Tensor, pos: Tensor) -> Tensor:

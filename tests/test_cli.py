@@ -568,11 +568,25 @@ def test_missing_dataset_is_usage_error(tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
+def _src_env():
+    """The environment with mcvv's source directory first on PYTHONPATH, as an
+    uninstalled checkout runs it."""
+    src = str(Path(mcvv.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_python_m_mcvv_runs_the_cli():
+    out = subprocess.run([sys.executable, "-m", "mcvv", "--help"], env=_src_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "gradcheck" in out.stdout
+
+
 def test_cli_import_does_not_load_scipy_ndimage():
     # augmentation and erf need only numpy and math; loading any part of
     # scipy would cost every command its import time
-    src = str(Path(mcvv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     code = ("import sys, mcvv.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -43,21 +43,6 @@ def test_matmul_grad_is_ones_times_bt():
     np.testing.assert_allclose(a.grad, expected, rtol=1e-12)
 
 
-def test_matmul_constant_operand_gets_no_gradient():
-    # embed's shape: a constant [B, N, k] cube array times a [k, d] parameter
-    rng = np.random.default_rng(3)
-    a = t64(rng.standard_normal((2, 3, 4)))
-    b = t64(rng.standard_normal((4, 5)), requires_grad=True)
-    out = T.matmul(a, b)
-    ga, gb = out._grad_fn(np.ones(out.shape))
-    assert ga is None
-    T.backward(T.tsum(out))
-    expected = sum(a.data[i].T @ np.ones((3, 5)) for i in range(2))
-    np.testing.assert_allclose(gb, expected, rtol=1e-12)
-    np.testing.assert_allclose(b.grad, expected, rtol=1e-12)
-    assert a.grad is None
-
-
 def test_matmul_grad_vs_central_differences():
     rng = np.random.default_rng(1)
     a = t64(rng.standard_normal((3, 4)), requires_grad=True)
@@ -74,16 +59,97 @@ def test_matmul_shape_mismatch():
         T.matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
 
 
-def test_matmul_batched_against_loop():
+def test_matmul_needs_equal_batch_axes():
+    # a product with a weight is a linear; matmul does not broadcast
+    with pytest.raises(T.ShapeError, match="batch axes differ"):
+        T.matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((4, 5))))
+
+
+# -- linear ---------------------------------------------------------------------
+
+LINEAR_SHAPES = [(3, 4), (2, 3, 4), (2, 2, 3, 4)]
+
+
+def _linear_operands(shape, dtype, bias, requires_grad=False, seed=6):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=requires_grad)
+    w = Tensor(rng.standard_normal((shape[-1], 5)).astype(dtype), requires_grad=requires_grad)
+    b = Tensor(rng.standard_normal(5).astype(dtype), requires_grad=requires_grad) if bias else None
+    return x, w, b
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("shape", LINEAR_SHAPES)
+def test_linear_matches_numpy(shape, bias):
+    for dtype in (np.float64, np.float32):
+        x, w, b = _linear_operands(shape, dtype, bias)
+        expected = np.matmul(x.data, w.data)
+        if bias:
+            expected = expected + b.data
+        out = T.linear(x, w, b)
+        assert out.shape == shape[:-1] + (5,) and out.dtype == dtype
+        if dtype == np.float64:
+            np.testing.assert_array_equal(out.data, expected)
+        else:
+            np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("shape", LINEAR_SHAPES)
+def test_linear_grad_vs_central_differences(shape, bias):
+    x, w, b = _linear_operands(shape, np.float64, bias, requires_grad=True)
+    params = [x, w] + ([b] if bias else [])
+
+    def f(ps):
+        return T.tsum(T.power(T.linear(*ps), 2.0))
+
+    assert T.gradcheck(f, params) < 1e-6
+
+
+def test_linear_with_a_bias_records_one_graph_node():
+    x, w, b = _linear_operands((2, 3, 4), np.float64, True, requires_grad=True)
+    out = T.linear(x, w, b)
+    assert out._op == "linear" and out._parents == (x, w, b)
+    assert all(p._grad_fn is None for p in out._parents)
+
+
+def test_linear_rejects_mismatched_operands():
+    x, w, b = _linear_operands((2, 3, 4), np.float64, True)
+    with pytest.raises(T.ShapeError):
+        T.linear(x, t64(np.zeros((5, 4))))
+    with pytest.raises(T.ShapeError):
+        T.linear(x, t64(np.zeros((2, 4, 5))))
+    with pytest.raises(T.ShapeError, match="bias"):
+        T.linear(x, w, t64(np.zeros((1, 5))))
+    with pytest.raises(TypeError):
+        T.linear(x, Tensor(w.data.astype(np.float32)))
+
+
+def test_linear_constant_operand_gets_no_gradient():
+    # embed's shape: a constant [B, N, k] cube array times a [k, d] parameter
+    rng = np.random.default_rng(3)
+    a = t64(rng.standard_normal((2, 3, 4)))
+    b = t64(rng.standard_normal((4, 5)), requires_grad=True)
+    out = T.linear(a, b)
+    ga, gb = out._grad_fn(np.ones(out.shape))
+    assert ga is None
+    T.backward(T.tsum(out))
+    expected = sum(a.data[i].T @ np.ones((3, 5)) for i in range(2))
+    np.testing.assert_allclose(gb, expected, rtol=1e-12)
+    np.testing.assert_allclose(b.grad, expected, rtol=1e-12)
+    assert a.grad is None
+
+
+def test_linear_batched_against_loop():
     rng = np.random.default_rng(2)
     a = t64(rng.standard_normal((5, 3, 4)), requires_grad=True)
     b = t64(rng.standard_normal((4, 2)), requires_grad=True)
-    out = T.matmul(a, b)
+    out = T.linear(a, b)
     for i in range(5):
         np.testing.assert_allclose(out.data[i], a.data[i] @ b.data, rtol=1e-12)
 
     def f(params):
-        return T.tsum(T.power(T.matmul(params[0], params[1]), 2.0))
+        return T.tsum(T.power(T.linear(params[0], params[1]), 2.0))
 
     assert T.gradcheck(f, [a, b]) < 1e-6
 

@@ -158,19 +158,44 @@ def test_loss_decreases_on_separable_data(tmp_path):
 def test_train_fold_pinned_across_epoch_boundaries(tmp_path):
     # 24 training clips in batches of 8: 7 steps cross two epoch boundaries
     # and stop one step into the third epoch. Pinned with tensor.erf's
-    # float32 rational, class-row last layers and the stacked branch weight
-    # (x86-64, OpenBLAS 0.3.31); the prefetching loop must match it bit for bit.
+    # float32 rational, class-row last layers, the stacked branch weight and
+    # one-GEMM linears (x86-64, OpenBLAS 0.3.31); the prefetching loop must
+    # match it bit for bit.
     cohort = tiny_cohort(tmp_path)
     plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
     result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(),
                            quick_train_cfg(batch_size=8, max_steps=7))
-    assert result.history == [0.9266001582145691, 0.23625366389751434, 0.4301406145095825,
-                              0.4841200113296509, 0.31956565380096436, 0.5251542329788208,
-                              0.8020927906036377]
+    assert result.history == [0.9266001582145691, 0.23625367879867554, 0.4301406145095825,
+                              0.4841199517250061, 0.31956571340560913, 0.5251544117927551,
+                              0.8020926713943481]
     sha = hashlib.sha256()
     for name, p in result.model.named_parameters():
         sha.update(name.encode() + b"\0" + p.data.tobytes())
-    assert sha.hexdigest() == "c72456c4e14faac889f2a874cf69a168f379695bb00437414bd60bf5443deb40"
+    assert sha.hexdigest() == "05a1f410a7943cd2eb40f7908e3ff2f25ded6eedd8f54a164d5b1efa993f97cb"
+
+
+def _recorded_nodes(root):
+    """Graph nodes reachable from ``root`` that record a gradient closure."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return sum(node._grad_fn is not None for node in seen.values())
+
+
+def test_default_step_graph_size_is_pinned():
+    # one node per linear; with a matmul and an add per linear it was 193
+    cfg = RunConfig()
+    mc = cfg.model_config()
+    model = Model(mc, seed=0)
+    clips = np.random.default_rng(0).random(
+        (cfg.batch_size, mc.clip_len, mc.height, mc.width, mc.channels), dtype=np.float32)
+    labels = np.arange(cfg.batch_size) % 2
+    loss = TR.batch_loss(model, model.cubes(clips), labels, L.AdCorreState(epsilon=cfg.epsilon),
+                         cfg.loss_params())
+    assert _recorded_nodes(loss) == 163
 
 
 def _blas_threads():
@@ -221,6 +246,28 @@ def test_loader_thread_and_blas_threads_end_with_the_fold(truncate, tmp_path, mo
     assert _blas_threads() == blas
     if blas is not None:   # the loader has a core to itself while the fold trains
         assert {during for _, during in seen} <= {max(1, blas - 1)}
+
+
+def test_training_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the loop lends BLAS threads to the loader: started at 2 and 3, the
+    # products run on 1 and 2 threads
+    blas = TR._openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get, set_ = blas
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    before, digests = get(), []
+    try:
+        for threads in (2, 3):
+            set_(threads)
+            result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(),
+                                   quick_train_cfg(max_steps=3))
+            digests.append([p.data.tobytes() for _, p in result.model.named_parameters()])
+    finally:
+        set_(before)
+    assert get() == before
+    assert digests[0] == digests[1]
 
 
 def test_train_fold_deterministic(tmp_path):

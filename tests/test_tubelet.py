@@ -221,3 +221,21 @@ def test_embed_projection_gradient():
         return T.tsum(T.mul(tokens, Tensor(readout)))
 
     assert T.gradcheck(f, [proj, cls_token, pos]) < 1e-6
+
+
+def test_partition_of_integer_clips_is_float64():
+    clip = np.arange(4 * 4 * 4 * 3, dtype=np.uint8).reshape(4, 4, 4, 3)
+    cubes = TB.tubelet_partition(clip[None], TB.TubeletConfig(t=2, h=2, w=2))
+    assert cubes.dtype == np.float64
+    np.testing.assert_array_equal(np.sort(cubes.data.reshape(-1)), np.arange(clip.size))
+
+
+def test_partition_moves_values_and_the_projection_names_a_non_finite_clip():
+    # partitioning does not check values; the first op to compute with them does
+    clip = np.zeros((4, 4, 4, 3))
+    clip[-1, -1, -1, -1] = np.nan
+    cubes = TB.tubelet_partition(clip[None], TB.TubeletConfig(t=2, h=2, w=2))
+    assert cubes._op == "partition" and not cubes.requires_grad and cubes._parents == ()
+    proj = Tensor(np.ones((24, 5)), requires_grad=True)
+    with pytest.raises(T.NonFiniteError, match="'linear'"):
+        TB.embed(cubes, proj)

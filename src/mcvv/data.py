@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -308,11 +309,31 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
     Class-1 subjects carry the oscillating-patch signature on all but a rho
     fraction of their clips (negative samples); class-0 clips are noise only.
     Per-subject clip counts vary across the configured frame range.
+
+    Clips and manifest are written into a temporary directory inside
+    ``out_dir``, then swapped in for any cohort there. So a run that fails
+    leaves the old cohort whole, or no manifest when it fails mid-swap: never
+    a manifest over clips it did not describe.
     """
     spec.validate()
     out_dir = Path(out_dir)
     clip_dir = out_dir / "clips"
     clip_dir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".cohort.", dir=out_dir) as work:
+        new_clips, new_manifest = Path(work, "clips"), Path(work, "manifest.csv")
+        new_clips.mkdir()
+        new_manifest.write_text(_write_cohort(spec, new_clips))
+        manifest = out_dir / "manifest.csv"
+        manifest.unlink(missing_ok=True)   # until the new one is in place
+        clip_dir.rename(Path(work, "old"))   # removed with ``work``
+        new_clips.rename(clip_dir)
+        new_manifest.rename(manifest)
+    return manifest
+
+
+def _write_cohort(spec: CohortSpec, clip_dir: Path) -> str:
+    """Write the cohort's clip files into ``clip_dir``; return the text of
+    its manifest, whose clip paths run through ``clips/``."""
     rng = np.random.default_rng(spec.seed)
 
     subjects = [(f"mci{i:02d}", LABEL_MCI) for i in range(spec.mci)]
@@ -338,18 +359,16 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
         for clip_index in range(n_clips):
             with_signature = label == LABEL_MCI and not negative[clip_index]
             frames = _make_clip(spec, rng, with_signature)
-            rel = f"clips/{subject_id}_{clip_index:04d}.mcvv"
-            write_tensor_file(out_dir / rel, frames)
-            records.append(ClipRecord(subject_id, rel, label, clip_index))
+            name = f"{subject_id}_{clip_index:04d}.mcvv"
+            write_tensor_file(clip_dir / name, frames)
+            records.append(ClipRecord(subject_id, f"clips/{name}", label, clip_index))
 
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["subject_id", "clip_path", "label", "clip_index"])
     for r in records:
         writer.writerow([r.subject_id, r.clip_path, LABEL_NAMES[r.label], r.clip_index])
-    manifest = out_dir / "manifest.csv"
-    write_text_atomic(manifest, text.getvalue())
-    return manifest
+    return text.getvalue()
 
 
 class DataError(ValueError):

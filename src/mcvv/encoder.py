@@ -4,10 +4,13 @@ Spatial attention runs over the tokens sharing one temporal index (plus the
 clip's class token, broadcast per index), with every (clip, index) pair an
 independent row: [B*n_t, S+1, d]. The per-index class-token outputs then
 pass through temporal attention with their own class token and a learnable
-temporal position embedding, one row per clip: [B, n_t+1, d]. Blocks are
-pre-norm: LN -> sublayer -> residual. After the temporal stage each clip's
-output vector takes a residual from the mean of its spatial class tokens and
-one final feed-forward block, giving [B, d] features.
+temporal position embedding, one row per clip: [B, n_t+1, d]. One helper,
+`add_class_and_positions`, puts each class token in front and adds the
+positions: the clip's, on its projected cubes (`mcvv.model.Model.forward`
+calls it), and the temporal ones, on the steps. Blocks are pre-norm: LN ->
+sublayer -> residual. After the temporal stage each clip's output vector
+takes a residual from the mean of its spatial class tokens and one final
+feed-forward block, giving [B, d] features.
 
 A stage passes on only its class-token rows, so its last layer computes only
 those, as CaiT's class attention does: LayerNorm, keys and values run over
@@ -175,6 +178,22 @@ def encode_stage(x: Tensor, layers: list[LayerParams], heads: int) -> Tensor:
     return transformer_layer(x, layers[-1], heads, cls_only=True)
 
 
+def add_class_and_positions(x: Tensor, cls_token: Tensor, pos: Tensor) -> Tensor:
+    """[B, n, d] rows -> [B, n+1, d]: the class token ``cls_token`` [d]
+    prepended to each sequence, the positional embedding ``pos`` [n+1, d]
+    added. Both stages start so: the spatial one from a clip's projected
+    cubes (see `mcvv.model.Model.forward`), the temporal one from its steps."""
+    if x.ndim != 3:
+        raise T.ShapeError(f"rows shape {x.shape}, expected (B, n, d)")
+    b, n, d = x.shape
+    if cls_token.shape != (d,):
+        raise T.ShapeError(f"class token shape {cls_token.shape}, expected ({d},)")
+    if pos.shape != (n + 1, d):
+        raise T.ShapeError(f"positional embedding shape {pos.shape}, expected ({n + 1}, {d})")
+    cls = T.repeat(T.reshape(cls_token, (1, 1, d)), b, axis=0)
+    return T.add(T.concat([cls, x], axis=1), pos)
+
+
 def spatial_encode(tokens: Tensor, n_t: int, cfg: EncoderConfig,
                    params: EncoderParams) -> Tensor:
     """Per-temporal-index attention over that index's spatial tokens plus the
@@ -193,12 +212,7 @@ def spatial_encode(tokens: Tensor, n_t: int, cfg: EncoderConfig,
 def temporal_encode(steps: Tensor, cfg: EncoderConfig, params: EncoderParams) -> Tensor:
     """Attend across temporal steps [B, n_t, d] behind a temporal class token;
     returns its [B, d] output."""
-    b, n_t, d = steps.shape
-    if params.temporal_pos.shape != (n_t + 1, d):
-        raise T.ShapeError(f"temporal position embedding {params.temporal_pos.shape} "
-                           f"does not fit {n_t} steps")
-    cls = T.repeat(T.reshape(params.temporal_cls, (1, 1, d)), b, axis=0)
-    x = T.add(T.concat([cls, steps], axis=1), params.temporal_pos)
+    x = add_class_and_positions(steps, params.temporal_cls, params.temporal_pos)
     return encode_stage(x, params.temporal, cfg.heads)
 
 

@@ -34,10 +34,6 @@ class MCParams:
     def embedding_dim(self) -> int:
         return self.out_w.shape[0]
 
-    @property
-    def num_class(self) -> int:
-        return self.out_w.shape[1]
-
 
 def check_feature_dim(feature_dim: int, multi_branch: bool) -> None:
     """The four branches split feature_dim / 4, so feature_dim must divide by 8."""

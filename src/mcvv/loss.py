@@ -49,12 +49,10 @@ class AdCorreState:
         self.confusion[...] = 0
 
     def recall(self) -> np.ndarray:
-        """Per-class recall; classes not yet seen read as 0."""
-        totals = self.confusion.sum(axis=1)
-        diag = np.diagonal(self.confusion).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.where(totals > 0, diag / np.maximum(totals, 1), 0.0)
-        return r
+        """Per-class recall; classes not yet seen read as 0, as their row and
+        so their diagonal entry are 0."""
+        c = self.confusion
+        return np.diagonal(c) / np.maximum(c.sum(axis=1), 1)
 
     def omega(self) -> np.ndarray:
         return 1.0 - self.recall() + self.epsilon

@@ -4,13 +4,12 @@
 `TubeletConfig` and an `EncoderConfig`. The model holds every learnable tensor
 behind stable dotted names (for the optimizer, checkpoints, and gradient
 verification) and runs B clips in three steps: `Model.cubes` cuts the clips
-into the cube matrix [B, N, cube], `Model.embed` turns it into tokens
-[B, N+1, d], and `Model.forward` maps the tokens to logits [B, 2] over
-`data.LABEL_NAMES` plus the embeddings [B, E] feeding the discriminator
-loss. Training runs embed and forward as one graph. Evaluation's loader
-thread runs embed's two steps itself (`tubelet.embed` on one clip's cubes at
-a time, then `tubelet.add_class_and_positions` once per subject), so only
-the tokens reach the forward.
+into the cube matrix [B, N, cube], `Model.embed` projects it to [B, N, d],
+and `Model.forward` puts the class token in front, adds the positions and
+maps the [B, N+1, d] tokens to logits [B, 2] over `data.LABEL_NAMES` plus the
+embeddings [B, E] feeding the discriminator loss. Training runs embed and
+forward as one graph. Evaluation's loader thread runs embed, clip by clip
+and with no graph, so only the projected cubes reach the forward.
 """
 
 from __future__ import annotations
@@ -67,30 +66,31 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def cubes(self, clips, batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
+    def cubes(self, clips, batch: int | None = None) -> Tensor:
         """B clips ([B,T,H,W,C], or an iterable of [T,H,W,C] clips, with
         ``batch`` giving B where it has no length) -> the [B, N, cube]
-        constant `embed` takes, in the model's cubes and dtype, written into
-        ``out`` when given (see `tubelet.tubelet_partition`)."""
-        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch, out)
+        constant `embed` takes, in the model's cubes and dtype (see
+        `tubelet.tubelet_partition`)."""
+        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch)
 
     def embed(self, cubes: Tensor) -> Tensor:
-        """[B, N, cube] cubes (see `cubes`) -> the [B, N+1, d] tokens
-        `forward` takes: each cube projected, the class token first, the
-        positional embedding added."""
-        return TB.add_class_and_positions(TB.embed(cubes, self.proj), self.cls_token, self.pos)
+        """[B, N, cube] cubes (see `cubes`) -> the [B, N, d] projected cubes
+        `forward` takes."""
+        return TB.embed(cubes, self.proj)
 
-    def forward(self, tokens: Tensor) -> tuple[Tensor, Tensor]:
-        """[B, N+1, d] tokens (see `embed`) -> (logits [B, 2],
-        discriminator embeddings [B, E])."""
+    def forward(self, projected: Tensor) -> tuple[Tensor, Tensor]:
+        """[B, N, d] projected cubes (see `embed`) -> (logits [B, 2],
+        discriminator embeddings [B, E]), through the [B, N+1, d] tokens: the
+        class token in front, the positional embedding added."""
+        tokens = E.add_class_and_positions(projected, self.cls_token, self.pos)
         feature = E.encoder_forward(tokens, self.counts[0], self.cfg.encoder, self.encoder)
         return H.mc_features(feature, self.head)
 
-    def clip_probability(self, tokens: Tensor) -> np.ndarray:
-        """Probability of class 1 for each of B clips' tokens, as a [B] array,
-        from a forward that records no graph."""
+    def clip_probability(self, projected: Tensor) -> np.ndarray:
+        """Probability of class 1 for each of B clips' projected cubes, as a
+        [B] array, from a forward that records no graph."""
         with T.no_grad():
-            logits, _ = self.forward(tokens)
+            logits, _ = self.forward(projected)
             return T.softmax(logits, axis=-1).data[:, 1]
 
     # -- parameter registry ------------------------------------------------------------

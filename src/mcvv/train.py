@@ -10,10 +10,9 @@ augmentation draws, so a rerun reproduces its reports byte for byte.
 Training and evaluation both read ahead: one loader thread reads the next
 batch's clips, augmenting them when training, while the current batch runs.
 For training it cuts them into the cube matrix, which the step embeds inside
-its graph. For evaluation it embeds a subject clip by clip, with no graph:
-each clip is cut into one reused cube block and projected into its rows of
-the subject's tokens, so no subject-wide cube matrix is built and the
-forward gets only the tokens.
+its graph. For evaluation it embeds a subject clip by clip with
+`Model.embed`, with no graph, so no subject-wide cube matrix is built and
+the forward gets only the projected cubes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 from mcvv import loss as L
 from mcvv import metrics as M
 from mcvv import tensor as T
-from mcvv import tubelet as TB
 from mcvv.config import RunConfig
 from mcvv.data import Cohort, FoldPlan, augment_clip, plan_folds
 from mcvv.model import Model, ModelConfig
@@ -133,29 +131,26 @@ def evaluate_subjects(model: Model, cohort: Cohort,
                       subjects: Sequence[str]) -> tuple[dict, dict, int, int]:
     """Un-augmented clip probabilities aggregated per subject; also counts
     argmax-correct clips. The loader thread embeds subject k+1 while subject
-    k runs forward: it reads one clip at a time, cuts it into the one [1, N,
-    cube] block every clip reuses and projects the block to the clip's
-    [1, N, d] rows; then it stacks the rows and adds the class token and
-    positions once per subject. So no subject-wide cube matrix is built, and
-    the forward gets only the tokens."""
-    block = np.empty((1, int(np.prod(model.counts)), model.proj.shape[0]), model.dtype)
+    k runs forward: it reads one clip at a time, cuts it into its [1, N,
+    cube] cubes and projects them to the clip's [1, N, d] rows, then stacks
+    the subject's rows. So no subject-wide cube matrix is built, and the
+    forward, which adds the class token and positions, gets only the
+    projected cubes."""
 
     def load(subject):
         idxs = cohort.clips_of(subject)
         # no_grad holds per thread, so the loader enters it itself
         with T.no_grad():
-            projected = [TB.embed(model.cubes([cohort.frames(i)], out=block), model.proj)
-                         for i in idxs]
-            return subject, idxs, TB.add_class_and_positions(
-                T.concat(projected, axis=0), model.cls_token, model.pos)
+            rows = [model.embed(model.cubes([cohort.frames(i)])) for i in idxs]
+            return subject, idxs, T.concat(rows, axis=0)
 
     scores: dict[str, float] = {}
     labels: dict[str, int] = {}
     correct = total = 0
     with _loader() as loader:
-        for subject, idxs, tokens in _read_ahead(loader, load, subjects):
-            probs = model.clip_probability(tokens)
-            del tokens   # freed before the loader starts the subject after next
+        for subject, idxs, projected in _read_ahead(loader, load, subjects):
+            probs = model.clip_probability(projected)
+            del projected   # freed before the loader starts the subject after next
             true = np.array([cohort.records[i].label for i in idxs])
             correct += int(np.sum((probs >= 0.5) == true))
             total += len(idxs)

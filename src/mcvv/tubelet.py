@@ -2,19 +2,15 @@
 and embed them.
 
 Shapes carry a leading batch axis: B clips [B,T,H,W,C] -> cubes [B, N, cube]
--> projected cubes [B, N, d] -> tokens [B, N+1, d], with
-N = n_t * n_h * n_w. Token order within a clip is time-major:
-index = tau * n_h * n_w + row * n_w + col, with each cube flattened
-row-major over (t, h, w, C). Trailing frames/pixels that do not fill a whole
-cube are discarded, so clips of one batch need only cut into the same cubes.
-Partitioning is data preparation, done before the forward, into a new array
-or a caller's; it only moves values, so it does not check them. Embedding
-takes two steps: `embed` projects each cube with one `tensor.linear`, which
-checks the projected values, and `add_class_and_positions` prepends the
-class token and adds the positional embedding. Training runs both inside
-the step's graph (see `mcvv.model.Model.embed`); evaluation's loader thread
-projects one clip at a time and adds the class token and positions once per
-subject, recording no graph.
+-> projected cubes [B, N, d], with N = n_t * n_h * n_w. Token order within a
+clip is time-major: index = tau * n_h * n_w + row * n_w + col, with each cube
+flattened row-major over (t, h, w, C). Trailing frames/pixels that do not fill
+a whole cube are discarded, so clips of one batch need only cut into the same
+cubes. Partitioning is data preparation, done before the forward; it only
+moves values, so it does not check them. `embed` projects each cube with one
+`tensor.linear`, which checks the projected values. The class token and the
+positional embedding join in the model's forward
+(`mcvv.encoder.add_class_and_positions`).
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tu
 
 
 def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
-                      batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
+                      batch: int | None = None) -> Tensor:
     """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant).
 
     ``clips`` is a [B,T,H,W,C] array or an iterable of B [T,H,W,C] clips;
@@ -58,9 +54,7 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
     before the next is taken, so an iterable that reads clips as it yields
     them never holds a batch of raw clips. The output dtype is ``dtype``, or
     the first clip's when None; float64 when that is not a float dtype the
-    engine supports. The cubes are written into ``out`` when it is given, a
-    C-contiguous array of the output's shape and dtype, so a caller can reuse
-    one array across batches; the tensor then wraps ``out``.
+    engine supports.
     Partitioning only moves values, so, like `tensor.reshape`, it does not
     check them for NaN/Inf: a non-finite clip is caught where `embed`
     projects it.
@@ -79,15 +73,10 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
         n_t, n_h, n_w = token_counts(cfg, frames, height, width)
         if cut is None:
             shape, cut = clip.shape, (n_t, n_h, n_w, channels)
-            expected = (batch, n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels)
             dtype = clip.dtype if dtype is None else np.dtype(dtype)
             if dtype not in (np.float32, np.float64):
                 dtype = np.dtype(np.float64)   # as `Tensor` converts any other dtype
-            if out is None:
-                out = np.empty(expected, dtype=dtype)
-            elif (out.shape, out.dtype) != (expected, dtype) or not out.flags.c_contiguous:
-                raise T.ShapeError(f"out is {out.dtype} {out.shape}, expected a contiguous "
-                                   f"{dtype} {expected}")
+            out = np.empty((batch, n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels), dtype)
         elif (n_t, n_h, n_w, channels) != cut:
             raise T.ShapeError(f"clip {taken} has shape {clip.shape}, clip 0 {shape}: as "
                                f"(n_t, n_h, n_w, C) they cut into {(n_t, n_h, n_w, channels)} "
@@ -107,23 +96,7 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
 
 def embed(cubes: Tensor, proj: Tensor) -> Tensor:
     """[B, N, cube] cubes -> [B, N, d]: each cube projected by ``proj``
-    [cube, d], as one `tensor.linear` (one [B*N, cube] GEMM). The first step
-    of embedding; `add_class_and_positions` is the second."""
+    [cube, d], as one `tensor.linear` (one [B*N, cube] GEMM)."""
     if cubes.ndim != 3:
         raise T.ShapeError(f"cubes shape {cubes.shape}, expected (B, N, cube)")
     return T.linear(cubes, proj)
-
-
-def add_class_and_positions(projected: Tensor, cls_token: Tensor, pos: Tensor) -> Tensor:
-    """[B, N, d] projected cubes (see `embed`) -> [B, N+1, d] tokens: the
-    class token prepended, the positional embedding added."""
-    if projected.ndim != 3:
-        raise T.ShapeError(f"projected cubes shape {projected.shape}, expected (B, N, d)")
-    b, n_tokens, d = projected.shape
-    if cls_token.shape != (d,):
-        raise T.ShapeError(f"class token shape {cls_token.shape}, expected ({d},)")
-    if pos.shape != (n_tokens + 1, d):
-        raise T.ShapeError(f"positional embedding shape {pos.shape}, "
-                           f"expected ({n_tokens + 1}, {d})")
-    cls = T.repeat(T.reshape(cls_token, (1, 1, d)), b, axis=0)
-    return T.add(T.concat([cls, projected], axis=1), pos)

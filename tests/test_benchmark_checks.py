@@ -7,6 +7,7 @@ change that breaks what those checks read fails every benchmark unit; this
 test catches it at unit-test speed.
 """
 
+import importlib
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,22 @@ def test_train_and_eval_pass_the_benchmark_checks(checks, tmp_path, monkeypatch)
     assert problems == []
     assert figures["clips"] == 16
     assert checks.file_problems("eval", scored, None) == []
+
+
+def test_every_benchmark_span_has_a_target_that_resolves(monkeypatch):
+    # resolved as `Tracer.install` resolves them, without wrapping anything: a
+    # span none of whose targets resolves loses its metrics, and the coarse
+    # spans mark `setup_s` and `clips_per_s`
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import COARSE, TARGETS
+
+    def resolves(module_name, attr):
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        return owner is not None
+
+    spans = {name for _, _, name in TARGETS}
+    assert set(COARSE) <= spans
+    found = {name for module_name, attr, name in TARGETS if resolves(module_name, attr)}
+    assert sorted(spans - found) == []

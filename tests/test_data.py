@@ -458,6 +458,36 @@ def test_failed_manifest_write_leaves_no_manifest_or_the_old_one(fail, tmp_path,
     assert (tmp_path / "manifest.csv").read_text() == old
 
 
+def test_interrupted_generation_leaves_no_manifest_over_new_clips(tmp_path, monkeypatch):
+    real_write = D.write_tensor_file
+
+    def generate_failing(spec):
+        written = []
+
+        def disk_full_after_3_files(path, arr):
+            if len(written) == 3:
+                raise OSError(28, "No space left on device")
+            written.append(path)
+            real_write(path, arr)
+
+        with monkeypatch.context() as m:
+            m.setattr(D, "write_tensor_file", disk_full_after_3_files)
+            with pytest.raises(OSError, match="No space left"):
+                D.generate_synthetic_cohort(spec, tmp_path)
+        assert not list(tmp_path.glob(".*"))   # no temporary directory is left
+
+    generate_failing(_tiny_spec(seed=1, noise=0.1))
+    with pytest.raises(D.DataError, match="no manifest at"):
+        D.Cohort(tmp_path)
+    old = D.Cohort(D.generate_synthetic_cohort(_tiny_spec(seed=1, noise=0.1), tmp_path))
+    old_frames = [old.frames(i) for i in range(len(old))]
+    generate_failing(_tiny_spec(seed=2, noise=0.1))
+    cohort = D.Cohort(tmp_path)   # the seed-1 cohort, whole
+    assert cohort.records == old.records
+    for i, frames in enumerate(old_frames):
+        np.testing.assert_array_equal(cohort.frames(i), frames)
+
+
 def test_cohort_frames_reads_fresh_copy(tmp_path):
     manifest = D.generate_synthetic_cohort(_tiny_spec(noise=0.1), tmp_path)
     cohort = D.Cohort(manifest)

@@ -90,6 +90,20 @@ def test_residual_identity_when_projections_zero():
     np.testing.assert_array_equal(out.data, x.data)
 
 
+# -- class token and positions ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows, cls, pos, message", [
+    ((2, 3, 4, 1), (4,), (4, 4), r"rows shape \(2, 3, 4, 1\)"),
+    ((2, 3, 4), (5,), (4, 4), r"class token shape \(5,\), expected \(4,\)"),
+    ((2, 3, 4), (4,), (3, 4), r"positional embedding shape \(3, 4\), expected \(4, 4\)"),
+])
+def test_class_and_positions_reject_a_misfit(rows, cls, pos, message):
+    with pytest.raises(T.ShapeError, match=message):
+        E.add_class_and_positions(Tensor(np.zeros(rows)), Tensor(np.zeros(cls)),
+                                  Tensor(np.zeros(pos)))
+
+
 # -- spatial stage -------------------------------------------------------------------------
 
 
@@ -150,7 +164,8 @@ def test_temporal_encode_wrong_step_count():
     rng = np.random.default_rng(8)
     cfg = small_cfg()
     params = E.init_encoder_params(cfg, n_t=4, rng=rng, dtype=np.float64)
-    with pytest.raises(T.ShapeError):
+    with pytest.raises(T.ShapeError, match=r"positional embedding shape \(5, 8\), "
+                                           r"expected \(4, 8\)"):
         E.temporal_encode(Tensor(rng.standard_normal((1, 3, cfg.d))), cfg, params)
 
 
@@ -285,7 +300,7 @@ def test_desk_scale_forward_backward_speed():
 
     start = time.perf_counter()
     cubes = TB.tubelet_partition(clip[None], tub)
-    seq = TB.add_class_and_positions(TB.embed(cubes, proj), cls_token, pos)
+    seq = E.add_class_and_positions(TB.embed(cubes, proj), cls_token, pos)
     out = E.encoder_forward(seq, counts[0], cfg, params)
     T.backward(T.tsum(T.mul(out, out)))
     elapsed = time.perf_counter() - start

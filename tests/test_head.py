@@ -30,7 +30,6 @@ def test_default_stage_dims(params):
     assert params.branch_b.shape == (32,)
     assert params.out_w.shape == (32, 2)
     assert params.embedding_dim == 32
-    assert params.num_class == 2
 
 
 def test_zero_weights_emit_output_bias(params):

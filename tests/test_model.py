@@ -271,11 +271,12 @@ def test_batched_forward_matches_per_clip(multi_branch):
     assert not np.allclose(other[j], logits.data[j])
 
 
-def _four_branch_probability(model, tokens, branch_w, branch_b):
+def _four_branch_probability(model, projected, branch_w, branch_b):
     """Class-1 probabilities of a head that runs each branch as its own
     linear and concatenates their outputs, on ``model``'s other weights."""
     head = model.head
     with T.no_grad():
+        tokens = E.add_class_and_positions(projected, model.cls_token, model.pos)
         feature = E.encoder_forward(tokens, model.counts[0], model.cfg.encoder, model.encoder)
         x1 = T.linear(feature, head.fc1_w, head.fc1_b)
         emb = T.concat([T.linear(x1, Tensor(w), Tensor(b))

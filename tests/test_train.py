@@ -415,7 +415,7 @@ def test_evaluation_embeds_on_the_loader_thread_and_hands_over_graphless_tokens(
     # one projection per clip, each of one clip's cubes, all on the loader thread
     assert embedded == [(1, int(np.prod(model.counts)), model.proj.shape[0])] * len(cohort)
     assert threading.get_ident() not in embed_threads
-    n_tokens = int(np.prod(model.counts)) + 1
+    n_tokens = int(np.prod(model.counts))
     assert [t.shape for t in handed] == [(len(cohort.clips_of(s)), n_tokens, model.cfg.encoder.d)
                                          for s in subjects]
     assert all(not t.requires_grad and t._parents == () for t in handed)
@@ -432,10 +432,9 @@ def test_evaluation_pinned_where_per_clip_products_round_differently(tmp_path):
     subjects = cohort.subject_ids()[:3]
     scores = TR.evaluate_subjects(model, cohort, subjects)[0]
     for subject in subjects:
-        rows = [TB.embed(model.cubes([cohort.frames(i)]), model.proj)
-                for i in cohort.clips_of(subject)]
-        tokens = TB.add_class_and_positions(T.concat(rows, axis=0), model.cls_token, model.pos)
-        assert scores[subject] == M.aggregate_subject(model.clip_probability(tokens))[0]
+        rows = [model.embed(model.cubes([cohort.frames(i)])) for i in cohort.clips_of(subject)]
+        projected = T.concat(rows, axis=0)
+        assert scores[subject] == M.aggregate_subject(model.clip_probability(projected))[0]
     assert [scores[s] for s in subjects] == [0.20515852297345796, 0.2034947524468104,
                                              0.20709340646862984]
 

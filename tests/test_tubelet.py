@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mcvv import encoder as E
 from mcvv import tensor as T
 from mcvv import tubelet as TB
 from mcvv.tensor import Tensor
@@ -95,8 +96,8 @@ def test_partition_time_major_order():
         assert set(np.unique(out.data[idx])) == {2 * tau, 2 * tau + 1}
 
 
-def _clips(n, shape=(8, 8, 8, 3), seed=5):
-    rng = np.random.default_rng(seed)
+def _clips(n, shape=(8, 8, 8, 3)):
+    rng = np.random.default_rng(5)
     return [rng.random(shape).astype(np.float32) for _ in range(n)]
 
 
@@ -146,24 +147,6 @@ def test_partition_cuts_each_clip_to_its_cubes():
                                   TB.tubelet_partition([c[:8, :8, :8] for c in clips], cfg).data)
 
 
-def test_partition_fills_a_given_array():
-    cfg = TB.TubeletConfig(t=4, h=4, w=4)
-    out = np.empty((2, 8, 4 * 4 * 4 * 3), np.float32)
-    for seed in (5, 6):   # one array reused across batches
-        clips = _clips(2, seed=seed)
-        filled = TB.tubelet_partition(clips, cfg, np.float32, out=out)
-        assert filled.data is out
-        np.testing.assert_array_equal(out, TB.tubelet_partition(clips, cfg).data)
-
-
-@pytest.mark.parametrize("out", [np.empty((2, 8, 96), np.float32),          # shape
-                                 np.empty((2, 8, 192)),                     # dtype
-                                 np.empty((2, 8, 384), np.float32)[..., ::2]])   # strides
-def test_partition_rejects_an_unfit_out(out):
-    with pytest.raises(T.ShapeError, match="^out is "):
-        TB.tubelet_partition(_clips(2), TB.TubeletConfig(t=4, h=4, w=4), np.float32, out=out)
-
-
 @pytest.mark.parametrize("n,batch", [(2, 3), (4, 3), (0, 0)])
 def test_partition_rejects_a_clip_count_other_than_the_batch(n, batch):
     with pytest.raises(T.ShapeError):
@@ -185,7 +168,7 @@ def _embed_setup(dtype=np.float64, requires_grad=False):
 
 
 def _tokens(cubes, proj, cls_token, pos):
-    return TB.add_class_and_positions(TB.embed(cubes, proj), cls_token, pos)
+    return E.add_class_and_positions(TB.embed(cubes, proj), cls_token, pos)
 
 
 def test_embed_zero_projection_keeps_class_token():

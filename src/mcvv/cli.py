@@ -257,8 +257,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # Each tensor op checks its own output and raises NonFiniteError
-        # naming itself, so numpy's overflow warnings would only repeat it.
+        # Each tensor op checks its output, and adam_step each gradient, raising
+        # NonFiniteError with a name, so numpy's overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except (UsageError, DataError) as exc:

@@ -169,11 +169,9 @@ def fd_loss(embeddings: Tensor, labels, state: AdCorreState) -> Tensor:
 
 
 def hp_loss(logits: Tensor, labels, embeddings: Tensor, state: AdCorreState,
-            params: HPLossParams, update_state: bool = True) -> Tensor:
+            params: HPLossParams) -> Tensor:
     """Focal term (when params.focal is set) plus fd_weight times the
-    discriminator; the confusion state is advanced with this batch's argmax
-    predictions only after the loss is built, so the attention weights
-    reflect previous batches."""
+    discriminator, weighted by ``state``, which it only reads."""
     labels = np.asarray(labels, dtype=np.int64)
     loss = None
     if params.focal is not None:
@@ -181,6 +179,4 @@ def hp_loss(logits: Tensor, labels, embeddings: Tensor, state: AdCorreState,
     if params.fd_weight != 0.0:
         fd = T.mul(fd_loss(embeddings, labels, state), params.fd_weight)
         loss = fd if loss is None else T.add(loss, fd)
-    if update_state:
-        update_confusion(state, np.argmax(logits.data, axis=-1), labels)
     return loss

@@ -191,7 +191,7 @@ def full_model_gradcheck(seed: int = 0, steps=(5e-4, 5e-5, 5e-6),
 
     def f(_):
         logits, emb = model.forward(model.embed(cubes))
-        return L.hp_loss(logits, labels, emb, state, params, update_state=False)
+        return L.hp_loss(logits, labels, emb, state, params)
 
     err = T.gradcheck(f, model.parameters(), steps=steps)
     return err, model.param_count()

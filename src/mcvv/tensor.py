@@ -21,11 +21,12 @@ consumed graph raises. Inside ``no_grad()`` operations record nothing, so a
 forward that is never differentiated (evaluation) builds no graph at all.
 
 Every operation checks its output for NaN/Inf and raises NonFiniteError
-naming the operation instead of letting bad values propagate. Operations
-that only move values (reshape, transpose, contiguous, getitem, concat,
-repeat, and the tubelet module's partition) skip the check, which cannot
-fail on finite inputs; repeat's backward sums, so it can overflow, and keeps
-its gradient check.
+naming the operation instead of letting bad values propagate: a later check
+could miss it, as softmax maps a -inf score to a 0 weight. Operations that
+only move values (reshape, transpose, contiguous, getitem, concat, repeat,
+and the tubelet module's partition) skip the check, which cannot fail on
+finite inputs. ``backward`` checks no gradient: a non-finite one reaches
+each weight it flows to, and ``train.adam_step`` checks those first.
 """
 
 from __future__ import annotations
@@ -42,11 +43,9 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-# Ops whose outputs, and gradients but for repeat's sum, are finite whenever
-# their inputs are; see the module docstring.
+# Ops whose outputs are finite whenever their inputs are; see the module docstring.
 _MOVES_VALUES = frozenset({"reshape", "transpose", "contiguous", "getitem", "concat",
                            "repeat", "partition"})
-_MOVES_GRADIENTS = _MOVES_VALUES - {"repeat"}
 
 
 class ShapeError(ValueError):
@@ -569,8 +568,6 @@ def backward(loss: Tensor) -> None:
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if node._op not in _MOVES_GRADIENTS:
-                    _ensure_finite(g, f"{node._op}.backward")
                 parent.grad = g if parent.grad is None else parent.grad + g
         if node is not loss:
             node.grad = None

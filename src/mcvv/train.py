@@ -17,6 +17,7 @@ the forward gets only the projected cubes.
 
 from __future__ import annotations
 
+import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -52,15 +53,16 @@ def adam_step(params: Sequence, grads: Sequence[np.ndarray], moments: AdamMoment
               eps: float = 1e-8, names: Sequence[str] = ()) -> None:
     """Bias-corrected Adam update, in place on each parameter's array. A
     non-finite gradient raises NonFiniteError naming its parameter, by
-    ``names`` when given, else by position."""
-    moments.t += 1
-    t = moments.t
-    for i, (p, g, m, v) in enumerate(zip(params, grads, moments.m, moments.v)):
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
+    ``names`` when given, else by position, before any array changes."""
+    for i, g in enumerate(grads):
+        if g is not None and not np.isfinite(g).all():
             name = f"'{names[i]}'" if names else f"#{i}"
             raise T.NonFiniteError(f"non-finite gradient of parameter {name} in adam_step")
+    moments.t += 1
+    t = moments.t
+    for p, g, m, v in zip(params, grads, moments.m, moments.v):
+        if g is None:
+            continue
         m[...] = beta1 * m + (1.0 - beta1) * g
         v[...] = beta2 * v + (1.0 - beta2) * (g * g)
         m_hat = m / (1.0 - beta1 ** t)
@@ -84,10 +86,13 @@ def cyclic_lr(step: int, base_lr: float, max_lr: float, cycle_len: int) -> float
 
 def batch_loss(model: Model, cubes: T.Tensor, labels: np.ndarray,
                state: L.AdCorreState, params: L.HPLossParams):
-    """Embed and forward the batch's cubes and build the run's loss
-    (``RunConfig.loss_params``) as one scalar graph."""
+    """Embed and forward the batch's cubes, build the run's loss
+    (``RunConfig.loss_params``) as one scalar graph, then count the batch's
+    argmax predictions in ``state``."""
     logits_b, emb_b = model.forward(model.embed(cubes))
-    return L.hp_loss(logits_b, labels, emb_b, state, params)
+    loss = L.hp_loss(logits_b, labels, emb_b, state, params)
+    L.update_confusion(state, np.argmax(logits_b.data, axis=-1), labels)
+    return loss
 
 
 def train_step(model: Model, moments: AdamMoments, cubes: T.Tensor,
@@ -246,12 +251,13 @@ def _batches(model: Model, cohort: Cohort, train_idx: list[int], cfg: RunConfig,
 
 def _read_ahead(loader, load: Callable, jobs: Iterable) -> Iterator:
     """``load(job)`` for each of ``jobs``, in order, with job i+1 submitted to
-    ``loader`` before job i's result is yielded. With one worker, loads run
-    one at a time in the order of ``jobs``, and a load's error reaches the
-    caller, message intact, through ``result()``."""
+    ``loader`` before job i's result is yielded. A load runs in the caller's
+    context, numpy's error state included. With one worker, loads run one at
+    a time in the order of ``jobs``, and a load's error reaches the caller,
+    message intact, through ``result()``."""
     in_flight = None
     for job in jobs:
-        submitted = loader.submit(load, job)
+        submitted = loader.submit(contextvars.copy_context().run, load, job)
         if in_flight is not None:
             yield in_flight.result()
         in_flight = submitted

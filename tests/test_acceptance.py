@@ -86,8 +86,7 @@ def test_criterion_2_loss_identities():
         logits = Tensor(rng.standard_normal((n, 2)))
         emb = Tensor(rng.standard_normal((n, 8)))
         labels = rng.integers(0, 2, n)
-        hp = L.hp_loss(logits, labels, emb, L.AdCorreState(), zero_fd,
-                       update_state=False).item()
+        hp = L.hp_loss(logits, labels, emb, L.AdCorreState(), zero_fd).item()
         focal = L.focal_loss(T.softmax(logits, axis=-1)[:, 1], labels,
                              zero_fd.focal).item()
         assert hp == focal

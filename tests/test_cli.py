@@ -447,6 +447,23 @@ def test_run_whose_values_go_non_finite_is_one_line_exit_2(dataset, tmp_path, ca
     assert not out.exists()
 
 
+def test_eval_whose_projection_overflows_is_one_line_exit_2(dataset, checkpoint, tmp_path):
+    # The projection runs on the loader thread, which must keep main's numpy
+    # error state, or numpy's overflow warning reaches stderr before the error.
+    # A subprocess, so stderr is what a user sees.
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(checkpoint, ckpt)
+    proj = ckpt / "params" / "embed.proj.mcvv"
+    D.write_tensor_file(proj, np.full_like(D.read_tensor_file(proj), 3e37))
+    out = tmp_path / "out"
+    run = subprocess.run([sys.executable, "-m", "mcvv", "eval", "--checkpoint", str(ckpt),
+                          "--data", str(dataset), "--out", str(out)],
+                         env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == cli.EXIT_VERIFY, run.stderr
+    assert run.stderr.splitlines() == ["numeric error: non-finite values produced by 'linear'"]
+    assert not out.exists()
+
+
 def test_gen_data_writes_manifest(dataset):
     manifest = dataset / "manifest.csv"
     assert manifest.exists()

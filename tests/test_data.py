@@ -386,12 +386,16 @@ def test_cohort_class_counts(tmp_path):
 
 
 def test_cohort_determinism(tmp_path):
-    m1 = D.generate_synthetic_cohort(_tiny_spec(), tmp_path / "a")
-    m2 = D.generate_synthetic_cohort(_tiny_spec(), tmp_path / "b")
+    # at noise 0 and rho 0 a clip's contents would not depend on the seed
+    m1 = D.generate_synthetic_cohort(_tiny_spec(noise=0.1, rho=0.3), tmp_path / "a")
+    m2 = D.generate_synthetic_cohort(_tiny_spec(noise=0.1, rho=0.3), tmp_path / "b")
+    other = D.generate_synthetic_cohort(_tiny_spec(noise=0.1, rho=0.3, seed=6), tmp_path / "c")
     assert m1.read_text() == m2.read_text()
-    c1, c2 = D.Cohort(m1), D.Cohort(m2)
+    c1, c2, c3 = D.Cohort(m1), D.Cohort(m2), D.Cohort(other)
     for i in range(len(c1)):
         np.testing.assert_array_equal(c1.frames(i), c2.frames(i))
+    assert any(not np.array_equal(c1.frames(i), c3.frames(i))
+               for i in range(min(len(c1), len(c3))))
 
 
 def test_cohort_separable_by_temporal_spectrum(tmp_path):

@@ -262,7 +262,7 @@ def test_hp_lambda_zero_equals_focal():
     logits, emb, labels = _batch(rng)
     state = L.AdCorreState(num_class=2)
     params = L.HPLossParams(fd_weight=0.0)
-    hp = L.hp_loss(logits, labels, emb, state, params, update_state=False)
+    hp = L.hp_loss(logits, labels, emb, state, params)
     p1 = T.softmax(logits, axis=-1)[:, 1]
     focal = L.focal_loss(p1, labels, params.focal)
     assert hp.item() == focal.item()
@@ -275,7 +275,7 @@ def test_hp_fd_zero_case_equals_focal():
     logits = t64(rng.standard_normal((2, 2)))
     state = L.AdCorreState(num_class=2)
     params = L.HPLossParams(fd_weight=0.5)
-    hp = L.hp_loss(logits, [1, 1], emb, state, params, update_state=False)
+    hp = L.hp_loss(logits, [1, 1], emb, state, params)
     p1 = T.softmax(logits, axis=-1)[:, 1]
     focal = L.focal_loss(p1, [1, 1], params.focal)
     assert hp.item() == pytest.approx(focal.item(), abs=1e-15)
@@ -285,17 +285,15 @@ def test_hp_default_weight_is_half():
     assert L.HPLossParams().fd_weight == 0.5
 
 
-def test_hp_updates_state_after_loss():
+def test_hp_loss_only_reads_the_state():
+    # train.batch_loss advances the state, after the loss is built
     rng = np.random.default_rng(15)
     logits, emb, labels = _batch(rng)
     state = L.AdCorreState(num_class=2)
-    before = L.hp_loss(logits, labels, emb, state, L.HPLossParams(),
-                       update_state=False).item()
+    first = L.hp_loss(logits, labels, emb, state, L.HPLossParams()).item()
     assert state.confusion.sum() == 0
-    with_update = L.hp_loss(logits, labels, emb, state, L.HPLossParams()).item()
-    # the attention weights came from the pre-update (fresh) state
-    assert with_update == pytest.approx(before, rel=1e-15)
-    assert state.confusion.sum() == len(labels)
+    assert L.hp_loss(logits, labels, emb, state, L.HPLossParams()).item() == first
+    assert state.confusion.sum() == 0
 
 
 def test_hp_gradient_vs_central_differences():
@@ -306,6 +304,6 @@ def test_hp_gradient_vs_central_differences():
     params = L.HPLossParams()
 
     def f(_):
-        return L.hp_loss(logits, labels, emb, state, params, update_state=False)
+        return L.hp_loss(logits, labels, emb, state, params)
 
     assert T.gradcheck(f, [logits, emb]) < 1e-4

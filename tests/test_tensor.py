@@ -354,15 +354,39 @@ def test_nonfinite_raises_with_op_name():
         T.log(t64([-1.0]))
 
 
-def test_repeat_backward_overflow_raises_with_op_name():
+def test_softmax_hides_a_fault_that_the_producing_op_names():
+    # one score overflows to -inf, which softmax turns into a finite 0 weight:
+    # only matmul's own check sees it
+    q = Tensor(np.array([[1e20]], dtype=np.float32))
+    k = Tensor(np.array([[-1e20, 1.0]], dtype=np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isneginf((q.data @ k.data)[0, 0])
+        with pytest.raises(T.NonFiniteError, match=r"^non-finite values produced by 'matmul'$"):
+            T.softmax(T.matmul(q, k))
+
+
+def test_inverse_square_root_hides_a_fault_that_the_producing_op_names():
+    # x * x overflows to inf, and its sum's inverse square root is a finite 0,
+    # as in loss.correlation_matrix: only mul's own check sees it
+    x = Tensor(np.full(3, 1e20, dtype=np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.float32(np.inf) ** -0.5 == 0.0
+        with pytest.raises(T.NonFiniteError, match=r"^non-finite values produced by 'mul'$"):
+            T.power(T.tsum(T.mul(x, x)), -0.5)
+
+
+def test_gradcheck_is_inf_where_the_backward_overflows():
     # repeat's forward only copies, but its backward sums: three float32
-    # gradients of 3e38 overflow to inf
+    # gradients of 3e38 overflow to inf, which backward passes on unchecked
     x = Tensor(np.full((1, 2), 1e-38, dtype=np.float32), requires_grad=True)
     scale = Tensor(np.full((3, 2), 3e38, dtype=np.float32))
-    loss = T.tsum(T.mul(T.repeat(x, 3, axis=0), scale))
-    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError,
-                                                   match=r"repeat\.backward"):
-        T.backward(loss)
+
+    def f(params):
+        return T.tsum(T.mul(T.repeat(params[0], 3, axis=0), scale))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert T.gradcheck(f, [x]) == math.inf
+    assert np.isposinf(x.grad).all()
 
 
 def test_nonfinite_on_construction():

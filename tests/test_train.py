@@ -72,8 +72,12 @@ def test_adam_rejects_nonfinite_grad():
                                                r"'head\.out_b' in adam_step$"):
         TR.adam_step(params, grads, TR.init_moments(params), lr=0.1,
                      names=["head.out_w", "head.out_b"])
+    moments = TR.init_moments(params)
     with pytest.raises(T.NonFiniteError, match=r"parameter #1 in adam_step$"):
-        TR.adam_step(params, grads, TR.init_moments(params), lr=0.1)
+        TR.adam_step(params, grads, moments, lr=0.1)
+    # checked before any update, so the finite first gradient moved nothing
+    assert params[0].data.tolist() == [1.0] and moments.t == 0
+    assert not any(a.any() for a in moments.m + moments.v)
 
 
 def test_train_step_names_the_parameter_with_a_nonfinite_grad(monkeypatch):
@@ -89,6 +93,79 @@ def test_train_step_names_the_parameter_with_a_nonfinite_grad(monkeypatch):
     with pytest.raises(T.NonFiniteError, match=r"parameter 'embed\.proj'"):
         TR.train_step(model, TR.init_moments(model.parameters()), cubes, np.array([0, 1]),
                       L.AdCorreState(), L.HPLossParams(), lr=1e-3)
+
+
+def _with_nan(g):
+    g = np.array(g, copy=True)
+    g.flat[0] = np.nan
+    return g
+
+
+def _planting(real, op):
+    """``Tensor._from_op`` whose ``op`` nodes plant a NaN in every gradient
+    their closure returns."""
+    def plant(grad_fn):
+        return lambda g: tuple(None if x is None else _with_nan(x) for x in grad_fn(g))
+
+    def from_op(data, parents, grad_fn, name):
+        return real(data, parents, plant(grad_fn) if name == op else grad_fn, name)
+
+    return staticmethod(from_op)
+
+
+def test_a_nan_planted_in_any_backward_op_is_named_by_adam_and_moves_nothing(monkeypatch):
+    # backward passes a non-finite gradient on unchecked; adam_step names the
+    # first parameter it reached and changes no weight, moment or step count
+    model = Model(tiny_model_cfg(), seed=0)
+    cubes = model.cubes(np.random.default_rng(0).random((4, 8, 16, 16, 3), dtype=np.float32))
+    labels = np.array([0, 1, 1, 0])
+    moments = TR.init_moments(model.parameters())
+    TR.train_step(model, moments, cubes, labels, L.AdCorreState(), L.HPLossParams(), lr=1e-3)
+    graph = TR.batch_loss(model, cubes, labels, L.AdCorreState(), L.HPLossParams())
+    seen, stack, ops = set(), [graph], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._grad_fn is not None:
+                ops.add(node._op)
+    assert {"linear", "matmul", "softmax", "layer_norm", "gelu", "repeat", "contiguous"} <= ops
+    weights = [p.data.copy() for p in model.parameters()]
+    m, v, t = [a.copy() for a in moments.m], [a.copy() for a in moments.v], moments.t
+    real = T.Tensor._from_op
+    for op in sorted(ops):
+        monkeypatch.setattr(T.Tensor, "_from_op", _planting(real, op))
+        with pytest.raises(T.NonFiniteError,
+                           match=r"^non-finite gradient of parameter '[\w.]+' in adam_step$"):
+            TR.train_step(model, moments, cubes, labels, L.AdCorreState(), L.HPLossParams(),
+                          lr=1e-3)
+        for before, p in zip(weights, model.parameters()):
+            np.testing.assert_array_equal(p.data, before, err_msg=op)
+        for before, after in zip(m + v, moments.m + moments.v):
+            np.testing.assert_array_equal(after, before, err_msg=op)
+        assert moments.t == t, op
+
+
+def test_batch_loss_counts_the_batch_after_building_the_loss():
+    model = Model(tiny_model_cfg(), seed=0)
+    cubes = model.cubes(np.random.default_rng(1).random((4, 8, 16, 16, 3), dtype=np.float32))
+    labels = np.array([0, 1, 1, 0])
+    state, params = L.AdCorreState(), L.HPLossParams()
+    loss = TR.batch_loss(model, cubes, labels, state, params).item()
+    logits, emb = model.forward(model.embed(cubes))
+    # the loss saw the fresh state; the state then counted the batch
+    assert loss == L.hp_loss(logits, labels, emb, L.AdCorreState(), params).item()
+    expected = L.update_confusion(L.AdCorreState(), np.argmax(logits.data, axis=-1), labels)
+    np.testing.assert_array_equal(state.confusion, expected.confusion)
+    assert state.confusion.sum() == len(labels)
+    assert L.hp_loss(logits, labels, emb, state, params).item() != loss
+
+
+def test_read_ahead_loads_in_the_callers_numpy_error_state():
+    with TR._loader() as loader, np.errstate(over="raise"):
+        states = list(TR._read_ahead(loader, lambda job: np.geterr()["over"], range(3)))
+    assert states == ["raise"] * 3
 
 
 # -- cyclic schedule ----------------------------------------------------------------

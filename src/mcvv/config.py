@@ -1,8 +1,8 @@
 """Flat key=value run configuration.
 
 `RunConfig` is a run's one config; the cohort, model and loss settings are
-views of it. Every key can come from a config file (`key = value`, '#'
-comments) or a CLI flag; unknown keys and keys a file repeats are rejected.
+views of it. Every key can come from a UTF-8 config file (`key = value`,
+'#' comments) or a CLI flag; unknown keys and keys a file repeats are rejected.
 Reports embed the resolved config so a run is reproducible from its report alone.
 """
 
@@ -158,8 +158,8 @@ def _parse_file(path: Path | str) -> dict[str, str]:
     out: dict[str, str] = {}
     line_of: dict[str, int] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()

@@ -3,8 +3,10 @@
 Covers clip augmentation, subject-disjoint fold planning, and a generator
 for imbalanced synthetic cohorts where one class carries a planted
 oscillating patch. Clips live on disk as raw little-endian float32 tensors
-plus a CSV manifest. `Cohort` decides whether a manifest and its clips can
-make a run, and raises DataError, naming the file at fault, when they cannot.
+plus a UTF-8 CSV manifest. A tensor file's values are checked as it is read,
+so no caller sees a non-finite clip or weight. `Cohort` decides whether a
+manifest and its clips can make a run, and raises DataError, naming the file
+at fault, when they cannot. The model config decides whether a clip fits it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from mcvv import tubelet as TB
-from mcvv.tensor import ShapeError
 
 if TYPE_CHECKING:   # model imports this module
     from mcvv.model import ModelConfig
@@ -195,6 +194,12 @@ class TensorFileError(ValueError):
     """A tensor file whose bytes do not hold the tensor its header describes."""
 
 
+class DataError(ValueError):
+    """A manifest, its clips or a checkpoint that cannot make the run asked
+    for. The message names the file or checkpoint directory, and the line or
+    parameter where there is one."""
+
+
 def _read_header(f, path: Path | str) -> tuple[int, ...]:
     """The shape in the header of ``f``, the tensor file ``path`` open at its
     start, once the file's size is that of exactly its header and payload;
@@ -230,11 +235,14 @@ def read_tensor_shape(path: Path | str) -> tuple[int, ...]:
 def read_tensor_file(path: Path | str) -> np.ndarray:
     """The float32 tensor in ``path``. The header's extents are checked
     against the file's size before anything is allocated, so a short,
-    padded or corrupt file raises TensorFileError naming ``path``."""
+    padded or corrupt file raises TensorFileError naming ``path``. A
+    non-finite value, which no header shows, raises DataError naming it."""
     with open(path, "rb") as f:
         data = np.empty(_read_header(f, path), dtype="<f4")
         if f.readinto(data) != data.nbytes:   # the file shrank since fstat
             raise TensorFileError(f"{path}: truncated payload")
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: non-finite values")
     return data.astype(np.float32, copy=False)   # a no-op on little-endian hosts
 
 
@@ -371,21 +379,19 @@ def _write_cohort(spec: CohortSpec, clip_dir: Path) -> str:
     return text.getvalue()
 
 
-class DataError(ValueError):
-    """A manifest, its clips or a checkpoint that cannot make the run asked
-    for. The message names the file or checkpoint directory, and the line or
-    parameter where there is one."""
-
-
 MANIFEST_COLUMNS = ("subject_id", "clip_path", "label", "clip_index")
 
 
 def read_csv_rows(path: Path | str, columns: tuple[str, ...]) -> list[tuple[int, dict]]:
-    """The rows of the CSV file ``path``, each with its line number, once the
-    header names each of ``columns`` and every row has a value for each;
-    otherwise DataError naming ``path`` and the line or the columns."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+    """The rows of the UTF-8 CSV file ``path``, each with its line number,
+    once the header names each of ``columns`` and every row has a value for
+    each; otherwise DataError naming ``path`` and the byte, line or columns."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise DataError(f"{path}: header lacks {', '.join(map(repr, missing))}")
@@ -395,13 +401,17 @@ def read_csv_rows(path: Path | str, columns: tuple[str, ...]) -> list[tuple[int,
             if empty:
                 raise DataError(f"{path}, line {reader.line_num}: no {empty[0]}")
             rows.append((reader.line_num, row))
+    except csv.Error as exc:   # such as a field over csv's size limit
+        # the DictReader's own line_num still names the last line it returned
+        raise DataError(f"{path}, line {reader.reader.line_num}: {exc}") from None
     return rows
 
 
 def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
-    """The manifest's rows, once each has a known label and an integer clip
-    index, each subject has one label, and no two rows name one clip file;
-    otherwise DataError naming the manifest, the line(s) and the value."""
+    """The manifest's rows, once each has a known label, an integer clip
+    index and a clip path without a NUL byte, each subject has one label, and
+    no two rows name one clip file; otherwise DataError naming the manifest,
+    the line(s) and the value."""
     records = []
     subjects: dict[str, tuple[int, str]] = {}   # subject id -> its first line and label
     clips: dict[str, int] = {}                  # normalised clip path -> its line
@@ -414,6 +424,8 @@ def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
             clip_index = int(row["clip_index"])
         except ValueError:
             raise DataError(f"{at}: clip_index {row['clip_index']!r} is not an integer") from None
+        if "\0" in row["clip_path"]:   # no file name holds one
+            raise DataError(f"{at}: clip_path {row['clip_path']!r} holds a NUL byte")
         first_line, first_label = subjects.setdefault(subject, (line, label))
         if label != first_label:
             raise DataError(f"{at}: subject {subject!r} is labelled {label}, "
@@ -424,18 +436,6 @@ def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
                             f"both name clip {row['clip_path']!r}")
         records.append(ClipRecord(subject, row["clip_path"], LABEL_IDS[label], clip_index))
     return records
-
-
-def _fits(shape: tuple[int, ...], m: ModelConfig) -> bool:
-    """Whether a clip of ``shape`` yields model config ``m``'s channels and
-    token counts."""
-    if len(shape) != 4 or shape[3] != m.channels:
-        return False
-    try:
-        return (TB.token_counts(m.tubelet, *shape[:3])
-                == TB.token_counts(m.tubelet, m.clip_len, m.height, m.width))
-    except ShapeError:   # too small for even one cube
-        return False
 
 
 class Cohort:
@@ -465,11 +465,9 @@ class Cohort:
         """Raise DataError unless a run of each of ``model_cfgs`` can use
         these clips. A run that trains passes its ``l_fold``: the subjects
         must fill two folds of that size, one held out and one to train on.
-        Every clip must cut into the cubes each config embeds, with the
-        config's channels and the token counts of a (clip_len, height, width)
-        clip, so trailing frames and pixels that fill no cube may differ.
-        Each clip's header is read once; one that its file's size
-        contradicts raises TensorFileError."""
+        Every clip must fit each config (`ModelConfig.fits_clip`). Each
+        clip's header is read once; one that its file's size contradicts
+        raises TensorFileError."""
         n = len(self._clips_by_subject)
         if l_fold is not None and n < 2 * l_fold:
             raise DataError(f"{self.manifest_path}: {n} subjects cannot fill "
@@ -481,7 +479,7 @@ class Cohort:
             if shape in fitting:
                 continue
             for m in model_cfgs:
-                if not _fits(shape, m):
+                if not m.fits_clip(shape):
                     raise DataError(f"{path}: clip shape {shape} does not fit a model of "
                                     f"{(m.clip_len, m.height, m.width, m.channels)} clips "
                                     f"in {m.tubelet.t}x{m.tubelet.h}x{m.tubelet.w} cubes")
@@ -491,13 +489,8 @@ class Cohort:
         return len(self.records)
 
     def frames(self, index: int) -> np.ndarray:
-        """The clip of record ``index``; a non-finite value raises DataError
-        naming its file, which no header check can see."""
-        path = self.root / self.records[index].clip_path
-        clip = read_tensor_file(path)
-        if not np.isfinite(clip).all():
-            raise DataError(f"{path}: non-finite values")
-        return clip
+        """The clip of record ``index``, as `read_tensor_file` reads it."""
+        return read_tensor_file(self.root / self.records[index].clip_path)
 
     def subject_ids(self) -> list[str]:
         return list(self._clips_by_subject)

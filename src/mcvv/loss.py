@@ -35,15 +35,13 @@ class FocalParams:
 
 @dataclass
 class AdCorreState:
-    """Running (true, predicted) counts; the row-normalized diagonal is the
-    per-class recall feeding the attention weights."""
+    """Running (true, predicted) counts of the two classes, a 2x2 matrix; the
+    row-normalized diagonal is the per-class recall feeding the attention
+    weights."""
 
-    num_class: int = 2
     epsilon: float = 1e-3
-    confusion: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.confusion = np.zeros((self.num_class, self.num_class), dtype=np.int64)
+    confusion: np.ndarray = field(init=False,
+                                  default_factory=lambda: np.zeros((2, 2), dtype=np.int64))
 
     def reset(self) -> None:
         self.confusion[...] = 0
@@ -63,9 +61,8 @@ def update_confusion(state: AdCorreState, predicted, true) -> AdCorreState:
     true = np.asarray(true, dtype=np.int64)
     if predicted.shape != true.shape:
         raise ValueError("label lists differ in length")
-    k = state.num_class
-    if predicted.min(initial=0) < 0 or predicted.max(initial=0) >= k \
-            or true.min(initial=0) < 0 or true.max(initial=0) >= k:
+    if predicted.min(initial=0) < 0 or predicted.max(initial=0) > 1 \
+            or true.min(initial=0) < 0 or true.max(initial=0) > 1:
         raise ValueError("label out of range")
     np.add.at(state.confusion, (true, predicted), 1)
     return state
@@ -152,12 +149,10 @@ def correlation_matrix(embeddings: Tensor) -> Tensor:
 def fd_loss(embeddings: Tensor, labels, state: AdCorreState) -> Tensor:
     """Weighted mean absolute gap between correlations and label targets:
     sum of beta * Omega * |Phi - CORM| over all pairs, normalized by n^2.
-    Gradient flows through CORM only."""
+    Gradient flows through CORM only. One sample gives exactly 0: beta
+    erases its one pair, the diagonal."""
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
-    if n < 2:
-        return Tensor(np.zeros((), dtype=embeddings.dtype))
-
     dtype = embeddings.dtype
     weights = Tensor((beta_matrix(n) * attention_map(state, labels)).astype(dtype))
     phi = Tensor(harmony_matrix(labels).astype(dtype))

@@ -47,6 +47,19 @@ class ModelConfig:
         TB.token_counts(self.tubelet, self.clip_len, self.height, self.width)
         H.check_feature_dim(self.encoder.d, self.multi_branch)
 
+    def fits_clip(self, shape: tuple[int, ...]) -> bool:
+        """Whether a clip of ``shape`` cuts into the cubes this config embeds:
+        a [T, H, W, C] clip with its channels and the token counts of a
+        (clip_len, height, width) clip, so trailing frames and pixels that
+        fill no cube may differ."""
+        if len(shape) != 4 or shape[3] != self.channels:
+            return False
+        try:
+            return (TB.token_counts(self.tubelet, *shape[:3])
+                    == TB.token_counts(self.tubelet, self.clip_len, self.height, self.width))
+        except T.ShapeError:   # too small for even one cube
+            return False
+
 
 class Model:
     def __init__(self, cfg: ModelConfig, seed: int, dtype=np.float32):
@@ -145,7 +158,8 @@ def save_checkpoint(model: Model, out_dir: Path | str) -> None:
 
 def load_checkpoint(model: Model, out_dir: Path | str) -> None:
     """Load the weights `save_checkpoint` wrote under ``out_dir`` into ``model``,
-    or none: DataError names ``out_dir`` and the first misfitting parameter."""
+    or none: DataError names ``out_dir`` and the first misfitting parameter,
+    or the file of the first whose values `data.read_tensor_file` refuses."""
     named = dict(model.named_parameters())
     files = {path.stem: path for path in (Path(out_dir) / "params").glob("*.mcvv")}
     unmatched = [n for n in named if n not in files] + sorted(files.keys() - named.keys())
@@ -157,8 +171,6 @@ def load_checkpoint(model: Model, out_dir: Path | str) -> None:
         if arr.shape != named[name].shape:
             raise D.DataError(f"{out_dir}: shape mismatch for '{name}': "
                               f"{arr.shape} vs {named[name].shape}")
-        if not np.isfinite(arr).all():
-            raise D.DataError(f"{out_dir}: non-finite weights in '{name}'")
     for name, arr in arrays.items():
         named[name].data = arr.astype(model.dtype, copy=False)
 

@@ -408,16 +408,18 @@ def repeat(a: Tensor, reps: int, axis: int) -> Tensor:
 # -- reductions -------------------------------------------------------------------
 
 
+def _spread(g: np.ndarray, a: Tensor, axis, keepdims: bool) -> np.ndarray:
+    """The gradient ``g`` of a reduction of ``a`` over ``axis`` (all axes
+    when None), broadcast back to ``a``'s shape as a read-only view."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.shape)
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False).copy(),)
-        gx = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gx, a.shape).copy(),)
-
-    return Tensor._from_op(np.asarray(out_data), (a,), grad_fn, "sum")
+    return Tensor._from_op(np.asarray(out_data), (a,),
+                           lambda g: (_spread(g, a, axis, keepdims).copy(),), "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -425,10 +427,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
 
     def grad_fn(g):
-        if axis is None:
-            return ((np.broadcast_to(g, a.shape) / count).astype(a.data.dtype, copy=False),)
-        gx = g if keepdims else np.expand_dims(g, axis)
-        return ((np.broadcast_to(gx, a.shape) / count).astype(a.data.dtype, copy=False),)
+        return ((_spread(g, a, axis, keepdims) / count).astype(a.data.dtype, copy=False),)
 
     return Tensor._from_op(np.asarray(out_data), (a,), grad_fn, "mean")
 
@@ -439,8 +438,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; any leading batch axes must be
     equal in both operands. A layer's product with a weight is `linear`."""
-    if not isinstance(b, Tensor):
-        b = _as_tensor(b, a.dtype)
     _check_dtypes(a, b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
@@ -521,10 +518,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gx = inv_std * (dxhat
                         - dxhat.mean(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        gbias = g.sum(axis=lead) if lead else g.copy()
-        return gx, ggain, gbias
+        lead = tuple(range(g.ndim - 1))   # () for a 1-D x: the sums are then copies
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return Tensor._from_op(out_data, (x, gain, bias), grad_fn, "layer_norm")
 

@@ -100,6 +100,26 @@ def test_config_key_set_twice_is_one_line_usage_error(dataset, tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["--config", "checkpoint"])
+def test_config_file_that_is_not_utf8_is_one_line_usage_error(source, dataset, checkpoint,
+                                                              tmp_path, capsys, no_model):
+    out = tmp_path / "out"
+    if source == "--config":
+        path = tmp_path / "run.cfg"
+        argv = ["train", "--data", str(dataset), "--config", str(path), "--out", str(out)] + TINY
+    else:
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(checkpoint, ckpt)
+        path = ckpt / "config.cfg"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--out", str(out)]
+    path.write_bytes(b"\xff\xfe" + "seed = 1\n".encode("utf-16-le"))   # UTF-16, with its BOM
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: cannot read config file {path}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     assert cli.main(["train", "--data", "/nonexistent"]) == cli.EXIT_USAGE  # no --out
     assert cli.main(["kfold", "--data", "/nonexistent", "--out", "x.json"]) == cli.EXIT_USAGE
@@ -199,14 +219,24 @@ def _spoil(dataset, data, case) -> str:
         rows[1], names = rows[1][:3], "manifest.csv, line 3: no clip_index"
     elif case == "two-labels":
         rows[1][2], names = "NC", "manifest.csv, line 3: subject 'mci00' is labelled NC"
+    elif case == "nul-path":   # open() refuses such a path with a ValueError
+        rows[1][1] += "\0"
+        names = f"manifest.csv, line 3: clip_path {rows[1][1]!r} holds a NUL byte"
+    elif case == "not-utf8":
+        rows[1][0] = "mci\xff"   # written as the one byte 0xff, which no UTF-8 text holds
+        names = "manifest.csv: 'utf-8' codec can't decode byte 0xff in position"
+    elif case == "long-field":
+        rows[1][0] = "m" * 200_000
+        names = "manifest.csv, line 3: field larger than field limit"
     else:   # two rows name one clip file
         rows[2][1], names = rows[0][1], "manifest.csv, lines 2 and 4: both name clip"
-    manifest.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    manifest.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n",
+                        encoding="latin-1")
     return names
 
 
 MANIFEST_DEFECTS = ["label-column", "subject-column", "clip-index", "short-row", "two-labels",
-                    "same-clip"]
+                    "same-clip", "nul-path", "not-utf8", "long-field"]
 
 
 @pytest.mark.parametrize("command,case", [
@@ -362,9 +392,9 @@ def test_eval_checkpoint_that_cannot_load_is_one_line_usage_error(case, checkpoi
     elif case == "extra-parameter":
         shutil.copy(params / "head.out_b.mcvv", params / "head.out_c.mcvv")
         names = "'head.out_c' not in model"
-    elif case == "non-finite":
+    elif case == "non-finite":   # read_tensor_file refuses it, naming its file
         D.write_tensor_file(params / "head.out_b.mcvv", np.full(2, np.nan))
-        names = "non-finite weights in 'head.out_b'"
+        names = None
     else:
         # the layout of releases that stored each branch as its own linear
         for wb in "wb":
@@ -378,8 +408,11 @@ def test_eval_checkpoint_that_cannot_load_is_one_line_usage_error(case, checkpoi
                    "--out", str(tmp_path / "eval.json")])
     assert rc == cli.EXIT_USAGE
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"usage error: {ckpt}: ")
-    assert names in lines[0]
+    if names is None:
+        assert lines == [f"usage error: {params / 'head.out_b.mcvv'}: non-finite values"]
+    else:
+        assert len(lines) == 1 and lines[0].startswith(f"usage error: {ckpt}: ")
+        assert names in lines[0]
     assert not (tmp_path / "eval.json").exists()
 
 
@@ -598,6 +631,17 @@ def test_python_m_mcvv_runs_the_cli():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "gradcheck" in out.stdout
+
+
+def test_data_import_loads_no_model_module():
+    # the data layer reads and checks files; whether a clip fits a model is
+    # ModelConfig's rule, so mcvv.data needs none of the model's modules
+    code = ("import sys, mcvv.data; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('mcvv.tubelet', 'mcvv.model', 'mcvv.encoder')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_import_does_not_load_scipy_ndimage():

@@ -511,6 +511,8 @@ def test_cohort_frames_refuses_non_finite_values(value, tmp_path):
     assert D.read_tensor_shape(clip) == frames.shape   # the header pass cannot see it
     with pytest.raises(D.DataError, match=re.escape(f"{clip}: non-finite values")):
         cohort.frames(1)
+    with pytest.raises(D.DataError, match=re.escape(f"{clip}: non-finite values")):
+        D.read_tensor_file(clip)   # the one check, which frames and checkpoint loads share
     assert np.isfinite(cohort.frames(0)).all()
 
 

@@ -81,25 +81,25 @@ def test_beta_matrix():
 
 
 def test_fresh_state_omega():
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     np.testing.assert_allclose(state.omega(), [1 + EPS, 1 + EPS])
 
 
 def test_all_correct_omega():
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     L.update_confusion(state, predicted=[1, 1, 1], true=[1, 1, 1])
     assert state.omega()[1] == pytest.approx(EPS)
     assert state.omega()[0] == pytest.approx(1 + EPS)  # class 0 unseen
 
 
 def test_partial_recall_omega():
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     L.update_confusion(state, predicted=[0] * 8 + [1] * 2, true=[0] * 10)
     assert state.omega()[0] == pytest.approx(0.2 + EPS)
 
 
 def test_update_confusion_validates():
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     with pytest.raises(ValueError):
         L.update_confusion(state, [0, 1], [0])
     with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ def test_update_confusion_validates():
 
 
 def test_attention_map_example():
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     L.update_confusion(state, predicted=[1] * 4, true=[1] * 4)   # MCI recall 1
     omega = state.omega()
     np.testing.assert_allclose(omega, [1 + EPS, EPS])
@@ -117,7 +117,7 @@ def test_attention_map_example():
 
 
 def test_attention_map_symmetric():
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     L.update_confusion(state, predicted=[0, 1, 1], true=[0, 0, 1])
     out = L.attention_map(state, [0, 1, 1, 0, 1])
     np.testing.assert_array_equal(out, out.T)
@@ -185,21 +185,21 @@ def test_correlation_zero_variance_guard():
 
 def test_fd_same_label_identical_pair_is_zero():
     v = np.random.default_rng(6).standard_normal(8)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     fd = L.fd_loss(t64(np.stack([v, v])), [1, 1], state)
     assert fd.item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fd_opposite_label_identical_pair_hand_value():
     v = np.random.default_rng(7).standard_normal(8)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     fd = L.fd_loss(t64(np.stack([v, v])), [1, 0], state)
     assert abs(fd.item() - 2.0 * (1.0 + EPS)) < 1e-10
 
 
 def test_fd_nonnegative():
     rng = np.random.default_rng(8)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     L.update_confusion(state, rng.integers(0, 2, 20), rng.integers(0, 2, 20))
     for _ in range(25):
         n, d = int(rng.integers(2, 8)), int(rng.integers(3, 10))
@@ -209,7 +209,7 @@ def test_fd_nonnegative():
 
 
 def test_fd_single_sample_is_zero():
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     fd = L.fd_loss(t64(np.random.default_rng(9).standard_normal((1, 8))), [1], state)
     assert fd.item() == 0.0
 
@@ -228,7 +228,7 @@ def _orthonormal_centered_pair(d, rng):
 def test_fd_monotone_as_correlations_approach_targets():
     rng = np.random.default_rng(10)
     u, r = _orthonormal_centered_pair(16, rng)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     values = []
     for theta in np.linspace(math.pi / 2, 0.05, 12):
         within = math.cos(theta) * u + math.sin(theta) * r       # corr(u, .) = cos
@@ -241,7 +241,7 @@ def test_fd_monotone_as_correlations_approach_targets():
 def test_fd_gradient_only_through_correlations():
     rng = np.random.default_rng(12)
     emb = t64(rng.standard_normal((4, 8)), requires_grad=True)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     fd = L.fd_loss(emb, [0, 1, 0, 1], state)
     T.backward(fd)
     assert emb.grad is not None and np.abs(emb.grad).max() > 0
@@ -260,7 +260,7 @@ def _batch(rng, n=4):
 def test_hp_lambda_zero_equals_focal():
     rng = np.random.default_rng(13)
     logits, emb, labels = _batch(rng)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     params = L.HPLossParams(fd_weight=0.0)
     hp = L.hp_loss(logits, labels, emb, state, params)
     p1 = T.softmax(logits, axis=-1)[:, 1]
@@ -273,7 +273,7 @@ def test_hp_fd_zero_case_equals_focal():
     v = rng.standard_normal(8)
     emb = t64(np.stack([v, v]))
     logits = t64(rng.standard_normal((2, 2)))
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     params = L.HPLossParams(fd_weight=0.5)
     hp = L.hp_loss(logits, [1, 1], emb, state, params)
     p1 = T.softmax(logits, axis=-1)[:, 1]
@@ -289,7 +289,7 @@ def test_hp_loss_only_reads_the_state():
     # train.batch_loss advances the state, after the loss is built
     rng = np.random.default_rng(15)
     logits, emb, labels = _batch(rng)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     first = L.hp_loss(logits, labels, emb, state, L.HPLossParams()).item()
     assert state.confusion.sum() == 0
     assert L.hp_loss(logits, labels, emb, state, L.HPLossParams()).item() == first
@@ -299,7 +299,7 @@ def test_hp_loss_only_reads_the_state():
 def test_hp_gradient_vs_central_differences():
     rng = np.random.default_rng(16)
     logits, emb, labels = _batch(rng)
-    state = L.AdCorreState(num_class=2)
+    state = L.AdCorreState()
     L.update_confusion(state, rng.integers(0, 2, 10), rng.integers(0, 2, 10))
     params = L.HPLossParams()
 

@@ -187,14 +187,7 @@ def cmd_ablate(args) -> int:
         _checked(cell)   # each cell's head and loss must fit the other keys too
     cohort = Cohort(args.data)
     cohort.check_fits(*(cell.model_config() for cell in cells), l_fold=cfg.l_fold)
-    jobs = [(cell, cohort, args.seeds) for cell in cells]
-    if args.workers > 1:
-        from multiprocessing import Pool   # here, so that other commands do not load it
-
-        with Pool(args.workers) as pool:
-            rows = pool.starmap(_ablate_cell, jobs)
-    else:
-        rows = [_ablate_cell(*job) for job in jobs]
+    rows = TR.fork_map(lambda cell: _ablate_cell(cell, cohort, args.seeds), cells, args.workers)
 
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=["t", "head", "loss",

@@ -38,6 +38,7 @@ SIGNATURE_CYCLES = 2.0
 
 TENSOR_FILE_MAGIC = b"MCVV"
 TENSOR_FILE_MAX_NDIM = 32
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 # -- augmentation -------------------------------------------------------------------
@@ -215,7 +216,7 @@ def _read_header(f, path: Path | str) -> tuple[int, ...]:
     shape = tuple(int(x) for x in np.frombuffer(f.read(4 * ndim), dtype="<u4"))
     # numpy refuses a shape whose nonzero extents overflow its byte count,
     # even when a zero extent leaves the array empty
-    if 4 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+    if 4 * math.prod(e for e in shape if e) > _INTP_MAX:
         raise TensorFileError(f"{path}: extents {shape} too large")
     payload, expected = size - 8 - 4 * ndim, 4 * math.prod(shape)
     if payload < expected:
@@ -280,6 +281,10 @@ class CohortSpec:
             raise ValueError("frames_min > frames_max")
         if self.frames_min < self.clip_len:
             raise ValueError("frames_min below clip_len would yield empty subjects")
+        if self.frames_max >= _INTP_MAX:
+            raise ValueError(f"frames_max must be < {_INTP_MAX}, got {self.frames_max}")
+        if 8 * self.clip_len * self.hw ** 2 * self.channels > _INTP_MAX:   # drawn as float64
+            raise ValueError("clip_len, hw and channels make a clip too large for numpy")
 
 
 @dataclass(frozen=True)
@@ -387,7 +392,8 @@ def read_csv_rows(path: Path | str, columns: tuple[str, ...]) -> list[tuple[int,
     once the header names each of ``columns`` and every row has a value for
     each; otherwise DataError naming ``path`` and the byte, line or columns."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        # spreadsheet programs save CSV with a byte order mark, which is no header text
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))

@@ -7,17 +7,16 @@ run. The confusion state behind the discriminator attention resets at each
 epoch boundary. Seeds fix fold assignment, weight init, batch shuffling, and
 augmentation draws, so a rerun reproduces its reports byte for byte.
 
-Training and evaluation both read ahead: one loader thread reads the next
-batch's clips, augmenting them when training, while the current batch runs.
-For training it cuts them into the cube matrix, which the step embeds inside
-its graph. For evaluation it embeds a subject clip by clip with
-`Model.embed`, with no graph, so no subject-wide cube matrix is built and
-the forward gets only the projected cubes.
+Training reads ahead: one loader thread reads, augments and partitions the
+next batch while the current batch runs. Evaluation has no loader thread:
+one forked process per core scores its share of the subjects (`fork_map`).
 """
 
 from __future__ import annotations
 
 import contextvars
+import os
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -135,33 +134,22 @@ class KFoldResult:
 def evaluate_subjects(model: Model, cohort: Cohort,
                       subjects: Sequence[str]) -> tuple[dict, dict, int, int]:
     """Un-augmented clip probabilities aggregated per subject; also counts
-    argmax-correct clips. The loader thread embeds subject k+1 while subject
-    k runs forward: it reads one clip at a time, cuts it into its [1, N,
-    cube] cubes and projects them to the clip's [1, N, d] rows, then stacks
-    the subject's rows. So no subject-wide cube matrix is built, and the
-    forward, which adds the class token and positions, gets only the
-    projected cubes."""
+    argmax-correct clips. One process per core (`fork_map`) scores its share
+    of the subjects, each embedded one clip at a time with no graph, so no
+    subject-wide cube matrix is built."""
 
-    def load(subject):
+    def score(subject):
         idxs = cohort.clips_of(subject)
-        # no_grad holds per thread, so the loader enters it itself
         with T.no_grad():
             rows = [model.embed(model.cubes([cohort.frames(i)])) for i in idxs]
-            return subject, idxs, T.concat(rows, axis=0)
+        probs = model.clip_probability(T.concat(rows, axis=0))
+        correct = int(np.sum((probs >= 0.5) == [cohort.records[i].label for i in idxs]))
+        return M.aggregate_subject(probs)[0], cohort.subject_label(subject), correct, len(idxs)
 
-    scores: dict[str, float] = {}
-    labels: dict[str, int] = {}
-    correct = total = 0
-    with _loader() as loader:
-        for subject, idxs, projected in _read_ahead(loader, load, subjects):
-            probs = model.clip_probability(projected)
-            del projected   # freed before the loader starts the subject after next
-            true = np.array([cohort.records[i].label for i in idxs])
-            correct += int(np.sum((probs >= 0.5) == true))
-            total += len(idxs)
-            scores[subject], _ = M.aggregate_subject(probs)
-            labels[subject] = cohort.subject_label(subject)
-    return scores, labels, correct, total
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    scored = fork_map(score, subjects, cores or 1)
+    scores, labels = ({s: r[i] for s, r in zip(subjects, scored)} for i in (0, 1))
+    return scores, labels, sum(r[2] for r in scored), sum(r[3] for r in scored)
 
 
 def subject_report(scores: dict, labels: dict, correct: int, total: int,
@@ -269,10 +257,10 @@ def _read_ahead(loader, load: Callable, jobs: Iterable) -> Iterator:
 def _loader():
     """One loader thread for `_read_ahead`, with BLAS lending it a core; both
     end with the block."""
-    # Imported here, so that commands which neither train nor evaluate do not load it.
+    # Imported here, so that commands which do not train do not load it.
     from concurrent.futures import ThreadPoolExecutor
 
-    with _blas_thread_lent(), ThreadPoolExecutor(max_workers=1) as loader:
+    with _blas_threads(lambda n: max(1, n - 1)), ThreadPoolExecutor(max_workers=1) as loader:
         yield loader
 
 
@@ -294,20 +282,73 @@ def _openblas():
 
 
 @contextmanager
-def _blas_thread_lent():
-    """BLAS runs one thread fewer (at least 1) inside the block, leaving a
-    core to the clip loader; the count it had is restored on exit."""
+def _blas_threads(count: Callable[[int], int]):
+    """BLAS runs ``count(n)`` threads inside the block, n being the count it
+    had, which is restored on exit."""
     blas = _openblas()
     if blas is None:
         yield
         return
     get, set_ = blas
     before = get()
-    set_(max(1, before - 1))
+    set_(count(before))
     try:
         yield
     finally:
         set_(before)
+
+
+_in_map = False   # True while `fork_map` runs jobs, so that maps nest serially
+
+
+def fork_map(fn: Callable, jobs: Sequence, workers: int) -> list:
+    """``[fn(job) for job in jobs]`` over ``workers`` processes, one per job
+    at most, with BLAS at one thread: the caller runs ``jobs[0::n]`` and forks
+    a child per other share ``jobs[w::n]``, which pickles its results back
+    through a pipe. Raises the lowest-indexed job's error, as a serial loop
+    would, or ChildProcessError for a child that died without a result, once
+    every child is reaped. Inside a map, or without os.fork, jobs run serially."""
+    global _in_map
+    n = 1 if _in_map or not hasattr(os, "fork") else max(1, min(workers, len(jobs)))
+    def share(w):   # fn of each job of share w, up to the first error; and that error
+        done = []
+        try:
+            for job in jobs[w::n]:
+                done.append(fn(job))
+        except Exception as exc:
+            return done, exc
+        return done, None
+
+    children, ended = [], []   # (pid, the read end of its pipe); (pid, what it sent, status)
+    with _blas_threads(lambda _: 1):
+        outer, _in_map = _in_map, True   # children inherit it
+        try:
+            for w in range(1, n):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:   # in the child, which leaves by os._exit alone
+                    try:
+                        with open(write, "wb") as pipe:
+                            pickle.dump(share(w), pipe)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(write)
+                children.append((pid, open(read, "rb")))
+            shares = [share(0)]
+        finally:
+            _in_map = outer
+            for pid, pipe in children:
+                with pipe:
+                    ended.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
+    for pid, sent, status in ended:
+        if status:
+            raise ChildProcessError(f"worker {pid} died without a result (wait status {status})")
+        shares.append(pickle.loads(sent))
+    failed = [(w + n * len(done), error) for w, (done, error) in enumerate(shares) if error]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [shares[j % n][0][j // n] for j in range(len(jobs))]
 
 
 def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig) -> KFoldResult:

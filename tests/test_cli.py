@@ -581,6 +581,58 @@ def test_ablate_workers_write_same_csv(dataset, tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_ablate_forks_no_more_workers_than_cells(dataset, tmp_path, monkeypatch):
+    # no cell trains, and the fork stub refuses, rather than starts, a
+    # worker past the 18 cells
+    monkeypatch.setattr(cli, "_ablate_cell", lambda cell, cohort, seeds: {
+        "t": cell.t, "head": cell.head, "loss": cell.loss,
+        "subject_accuracy": 1.0, "clip_accuracy": 1.0, "f1": 1.0})
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        if len(forks) > 17:
+            raise OSError("fork past the cap")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out = tmp_path / "grid.csv"
+    assert cli.main(["ablate", "--data", str(dataset), "--out", str(out),
+                     "--workers", "100000"] + TINY) == 0
+    assert len(forks) == 17   # the caller runs the 18th share itself
+    assert len(list(csv.DictReader(open(out)))) == 18
+
+
+def test_eval_leaves_no_process_behind(dataset, checkpoint, tmp_path):
+    # eval forks its workers; once it exits, none of its session may run
+    out = tmp_path / "eval.json"
+    run = subprocess.Popen([sys.executable, "-m", "mcvv", "eval", "--checkpoint", str(checkpoint),
+                            "--data", str(dataset), "--out", str(out)],
+                           env=_src_env(), start_new_session=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = run.communicate(timeout=120)
+    assert run.returncode == 0, err
+    assert json.loads(out.read_text())["report"]["n_subjects"] == 5
+    with pytest.raises(ProcessLookupError):
+        os.killpg(run.pid, 0)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--hw", "100000000000000000000", "--frames-min", "16", "--frames-max", "16"],
+    ["--clip-len", "99999999999999999999", "--frames-min", "99999999999999999999",
+     "--frames-max", "99999999999999999999"],
+], ids=["hw", "frames"])
+def test_gen_data_geometry_numpy_cannot_index_is_one_line_before_any_write(flags, tmp_path,
+                                                                           capsys):
+    out = tmp_path / "big"
+    assert cli.main(["gen-data", "--out", str(out), "--mci", "1", "--nc", "1"] + flags) \
+        == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+    assert re.search(r"\b(hw|frames_max)\b", lines[0]), lines[0]
+    assert not out.exists()
+
+
 def test_gradcheck_smoke_runs_quickly():
     # the full gradcheck lives in the acceptance suite; here only flag parsing
     parser = cli.build_parser()

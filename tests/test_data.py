@@ -531,6 +531,21 @@ def test_cohort_subject_index_keeps_record_order(tmp_path):
         cohort.subject_label("missing")
 
 
+def test_manifest_saved_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # spreadsheet programs save CSV as "UTF-8 with BOM"
+    text = ("subject_id,clip_path,label,clip_index\n"
+            "a,clips/a_0.mcvv,NC,0\nb,clips/b_0.mcvv,MCI,0\n")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert D.Cohort(marked).records == D.Cohort(plain).records
+    # a mark anywhere but at the start is still text, so the header lacks the name
+    plain.write_text(text.replace(",clip_path", ",\ufeffclip_path"), encoding="utf-8")
+    with pytest.raises(D.DataError, match="header lacks 'clip_path'"):
+        D.Cohort(plain)
+
+
 def test_manifest_unknown_label_names_manifest_line_and_label(tmp_path):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("subject_id,clip_path,label,clip_index\n"

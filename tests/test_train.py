@@ -1,7 +1,10 @@
 """Optimizer, schedule, fold training, and reproducibility."""
 
 import hashlib
+import os
+import signal
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -469,16 +472,25 @@ def test_evaluation_matches_a_serial_loop(tmp_path):
         assert (correct, total) == (expected_correct, len(cohort))
 
 
-def test_evaluation_embeds_on_the_loader_thread_and_hands_over_graphless_tokens(
-        tmp_path, monkeypatch):
+def _cores(monkeypatch, n):
+    """Evaluation sees ``n`` cores, so it scores in up to ``n`` processes."""
+    monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evaluation_projects_each_clip_alone_and_scores_graphless_tokens(tmp_path, monkeypatch):
     cohort = tiny_cohort(tmp_path)
     model = Model(tiny_model_cfg(), seed=0)
     subjects = cohort.subject_ids()
-    embed_threads, embedded, handed = [], [], []
+    embed_threads, embedded, handed = set(), [], []
     real_embed, real_probability = TB.embed, Model.clip_probability
 
     def embed(cubes, proj):
-        embed_threads.append(threading.get_ident())
+        embed_threads.add(threading.get_ident())
         embedded.append(cubes.shape)
         return real_embed(cubes, proj)
 
@@ -488,10 +500,11 @@ def test_evaluation_embeds_on_the_loader_thread_and_hands_over_graphless_tokens(
 
     monkeypatch.setattr(TB, "embed", embed)
     monkeypatch.setattr(Model, "clip_probability", watched)
+    _cores(monkeypatch, 1)   # one process, so every call is seen here
     TR.evaluate_subjects(model, cohort, subjects)
-    # one projection per clip, each of one clip's cubes, all on the loader thread
+    # one projection per clip, each of one clip's cubes, on the calling thread
     assert embedded == [(1, int(np.prod(model.counts)), model.proj.shape[0])] * len(cohort)
-    assert threading.get_ident() not in embed_threads
+    assert embed_threads == {threading.get_ident()}
     n_tokens = int(np.prod(model.counts))
     assert [t.shape for t in handed] == [(len(cohort.clips_of(s)), n_tokens, model.cfg.encoder.d)
                                          for s in subjects]
@@ -516,12 +529,13 @@ def test_evaluation_pinned_where_per_clip_products_round_differently(tmp_path):
                                              0.20709340646862984]
 
 
-def test_evaluation_never_holds_a_subject_cube_matrix(tmp_path):
+def test_evaluation_never_holds_a_subject_cube_matrix(tmp_path, monkeypatch):
     cohort = default_geometry_cohort(tmp_path, subjects_per_class=2)
     model = Model(ModelConfig(), seed=0)
     subjects = cohort.subject_ids()
     n_clips = len(cohort.clips_of(subjects[0]))
     cube_matrix = model.cubes(np.zeros((n_clips, 16, 64, 64, 3), np.float32)).data.nbytes
+    _cores(monkeypatch, 1)   # tracemalloc sees one process; the bound holds in each
     tracemalloc.start()
     try:
         TR.evaluate_subjects(model, cohort, subjects)
@@ -532,12 +546,11 @@ def test_evaluation_never_holds_a_subject_cube_matrix(tmp_path):
 
 
 @pytest.mark.parametrize("truncate", [False, True])
-def test_loader_thread_and_blas_threads_end_with_the_evaluation(truncate, tmp_path,
-                                                                monkeypatch):
+def test_evaluation_leaves_no_thread_or_child_and_restores_blas(truncate, tmp_path, monkeypatch):
     cohort = tiny_cohort(tmp_path)
     model = Model(tiny_model_cfg(), seed=0)
     subjects = cohort.subject_ids()
-    if truncate:   # a clip of the third subject, read while the second is scored
+    if truncate:   # a clip of the third subject, which this process scores
         clip = cohort.root / cohort.records[cohort.clips_of(subjects[2])[-1]].clip_path
         clip.write_bytes(clip.read_bytes()[:-10])
     seen = []
@@ -548,15 +561,149 @@ def test_loader_thread_and_blas_threads_end_with_the_evaluation(truncate, tmp_pa
         return real(self, tokens)
 
     monkeypatch.setattr(Model, "clip_probability", watched)
+    _cores(monkeypatch, 2)
     threads, blas = threading.active_count(), _blas_threads()
     if truncate:
         with pytest.raises(D.TensorFileError, match=rf"{clip.name}: truncated payload"):
             TR.evaluate_subjects(model, cohort, subjects)
-        assert len(seen) == 2
+        assert len(seen) == 1   # the first subject of this process's share
     else:
         TR.evaluate_subjects(model, cohort, subjects)
-        assert len(seen) == len(subjects)
+        assert len(seen) == len(subjects[0::2])
+    _no_child_left()
     assert threading.active_count() == threads
     assert _blas_threads() == blas
-    if blas is not None:   # the loader has a core to itself while subjects are scored
-        assert set(seen) <= {max(1, blas - 1)}
+    if blas is not None:   # each process runs BLAS at one thread while subjects are scored
+        assert set(seen) == {1}
+
+
+def test_evaluation_is_bit_identical_in_subject_order_at_any_worker_count(tmp_path,
+                                                                         monkeypatch):
+    cohort = tiny_cohort(tmp_path)
+    model = Model(tiny_model_cfg(), seed=0)
+    subjects = cohort.subject_ids()[::-1]   # not the cohort's order
+    results = []
+    for cores in (1, 2, 3):
+        _cores(monkeypatch, cores)
+        results.append(TR.evaluate_subjects(model, cohort, subjects))
+    assert results[0] == results[1] == results[2]
+    scores, labels, correct, total = results[0]
+    assert list(scores) == list(labels) == subjects
+    assert total == len(cohort)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("truncated, failing", [([2], 2), ([1], 1), ([2, 1], 1), ([3, 2], 2)],
+                         ids=["caller", "child", "child-first", "caller-first"])
+def test_truncated_clip_in_any_share_gives_the_serial_loops_error(truncated, failing, tmp_path,
+                                                                  monkeypatch):
+    # at two processes the caller scores subjects 0, 2, 4, ... and its child
+    # 1, 3, 5, ...; the first failing subject's error is raised, as from one
+    cohort = tiny_cohort(tmp_path)
+    model = Model(tiny_model_cfg(), seed=0)
+    subjects = cohort.subject_ids()
+    clips = [cohort.root / cohort.records[cohort.clips_of(s)[0]].clip_path for s in subjects]
+    for k in truncated:
+        clips[k].write_bytes(clips[k].read_bytes()[:-10])
+    messages = []
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        with pytest.raises(D.TensorFileError) as caught:
+            TR.evaluate_subjects(model, cohort, subjects)
+        messages.append(str(caught.value))
+    assert messages == [f"{clips[failing]}: truncated payload"] * 2
+    _no_child_left()
+
+
+# -- worker processes ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_fork_map_returns_results_in_job_order(workers):
+    results = TR.fork_map(lambda job: (job * job, os.getpid()), range(7), workers)
+    assert [r for r, _ in results] == [j * j for j in range(7)]
+    n = min(workers, 7)
+    pids = [pid for _, pid in results]
+    assert len(set(pids)) == n
+    # shared by stride, the caller running share 0
+    assert [pid == os.getpid() for pid in pids] == [j % n == 0 for j in range(7)]
+    assert all(pids[j] == pids[j % n] for j in range(7))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [[0], [1], [6], [3, 6], [4, 1], [3, 2], [4, 2]])
+def test_fork_map_raises_the_lowest_indexed_jobs_error(failing):
+    def fn(job):
+        if job in failing:
+            raise ValueError(f"job {job}")
+        return job
+
+    for workers in (1, 3):   # shares [0, 3, 6], [1, 4] and [2, 5] at 3
+        with pytest.raises(ValueError, match=rf"^job {min(failing)}$"):
+            TR.fork_map(fn, range(7), workers)
+    _no_child_left()
+
+
+def test_fork_map_child_killed_without_a_result_raises_child_process_error():
+    def fn(job):
+        if job == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return job
+
+    # an OSError, so the CLI prints it as one line and exits 3
+    with pytest.raises(ChildProcessError, match="died without a result"):
+        TR.fork_map(fn, range(4), 2)
+    _no_child_left()
+
+
+def test_fork_map_reaps_its_children_when_interrupted():
+    def fn(job):
+        if job == 0:
+            raise KeyboardInterrupt
+        time.sleep(0.2)   # the child still runs when the caller is interrupted
+        return job
+
+    with pytest.raises(KeyboardInterrupt):
+        TR.fork_map(fn, range(2), 2)
+    _no_child_left()
+
+
+def test_fork_map_forks_one_child_per_job_at_most(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(1)
+        if len(forks) > 2:   # refuse, rather than start, a worker past the cap
+            raise OSError("fork past the cap")
+        return real_fork()
+
+    monkeypatch.setattr(TR.os, "fork", counting_fork)
+    assert TR.fork_map(lambda job: job, range(3), 100000) == [0, 1, 2]
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_fork_map_runs_blas_at_one_thread_and_restores_it():
+    blas = _blas_threads()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    assert TR.fork_map(lambda job: _blas_threads(), range(4), 2) == [1, 1, 1, 1]
+    assert _blas_threads() == blas
+
+
+def test_fork_map_jobs_run_in_the_callers_numpy_error_state():
+    with np.errstate(over="raise"):
+        assert TR.fork_map(lambda job: np.geterr()["over"], range(2), 2) == ["raise"] * 2
+
+
+def test_fork_map_runs_serially_where_there_is_no_fork(monkeypatch):
+    monkeypatch.delattr(TR.os, "fork")
+    assert TR.fork_map(lambda job: os.getpid(), range(3), 3) == [os.getpid()] * 3
+
+
+def test_maps_nest_serially_in_every_process():
+    inner = TR.fork_map(lambda job: TR.fork_map(lambda k: os.getpid(), range(2), 2),
+                        range(2), 2)
+    assert inner[0] == [os.getpid()] * 2
+    assert inner[1][0] == inner[1][1] != os.getpid()
+    _no_child_left()

@@ -4,8 +4,9 @@ Subcommands: gen-data, train, kfold, eval, gradcheck, ablate. Every run
 config key is a flag; a --config file supplies the base values and flags
 override it. Exit codes: 0 success, 1 usage error, 2 verification failure
 (a failed gradient check, or a run whose values went non-finite), 3 I/O
-error. The checks live with the config, data, checkpoint and tensor code;
-`main` only maps their errors to exit codes.
+error, 130 interrupted (Ctrl-C), once every child process is reaped. The
+checks live with the config, data, checkpoint and tensor code; `main` only
+maps their errors to exit codes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130   # 128 + SIGINT, as a shell reports a process Ctrl-C ended
 
 GRADCHECK_TOLERANCE = 1e-4
 ABLATION_T_VALUES = (2, 4, 8)
@@ -69,8 +72,24 @@ def _checked(cfg: RunConfig, check=RunConfig.validate, source: str = "") -> RunC
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+@contextmanager
+def _output_dir(path: Path):
+    """Make the directory ``path`` and its missing parents before the block,
+    so that an output path no directory can take fails before any work. If
+    the block raises, the directories made here are removed again, unless
+    they hold something, so a failed run leaves nothing behind."""
+    made = [p for p in (path, *path.parents) if not p.exists()]   # deepest first
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+    except BaseException:
+        for p in made:
+            with suppress(OSError):
+                p.rmdir()
+        raise
 
 
 # -- commands -------------------------------------------------------------------------
@@ -87,20 +106,20 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     model_cfg = cfg.model_config()
-    cohort = Cohort(args.data)
-    cohort.check_fits(model_cfg, l_fold=cfg.l_fold)
-    plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
-    if not 0 <= args.fold < plan.k:
-        raise UsageError(f"fold {args.fold} out of range (k={plan.k})")
-    result = TR.train_fold(cohort, plan, args.fold, model_cfg, cfg)
+    with _output_dir(Path(args.out)) as out_dir:
+        cohort = Cohort(args.data)
+        cohort.check_fits(model_cfg, l_fold=cfg.l_fold)
+        plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
+        if not 0 <= args.fold < plan.k:
+            raise UsageError(f"fold {args.fold} out of range (k={plan.k})")
+        result = TR.train_fold(cohort, plan, args.fold, model_cfg, cfg)
 
-    # The report goes last, so a failed save never leaves a new report
-    # beside an old checkpoint.
-    out_dir = Path(args.out)
-    save_checkpoint(result.model, out_dir)
-    cfg.write(out_dir / "config.cfg")
-    _write_json(out_dir / "report.json",
-                {"config": asdict(cfg), "report": result.report.to_dict()})
+        # The report goes last, so a failed save never leaves a new report
+        # beside an old checkpoint.
+        save_checkpoint(result.model, out_dir)
+        cfg.write(out_dir / "config.cfg")
+        _write_json(out_dir / "report.json",
+                    {"config": asdict(cfg), "report": result.report.to_dict()})
     print(out_dir / "report.json")
     return EXIT_OK
 
@@ -108,16 +127,17 @@ def cmd_train(args) -> int:
 def cmd_kfold(args) -> int:
     cfg = _resolve_config(args)
     model_cfg = cfg.model_config()
-    cohort = Cohort(args.data)
-    cohort.check_fits(model_cfg, l_fold=cfg.l_fold)
-    result = TR.run_kfold(cohort, model_cfg, cfg)
-    payload = {
-        "config": asdict(cfg),
-        "folds": [fr.report.to_dict() for fr in result.folds],
-        "pooled": result.pooled.to_dict(),
-    }
     out = Path(args.out)
-    _write_json(out, payload)
+    with _output_dir(out.parent):
+        cohort = Cohort(args.data)
+        cohort.check_fits(model_cfg, l_fold=cfg.l_fold)
+        result = TR.run_kfold(cohort, model_cfg, cfg)
+        payload = {
+            "config": asdict(cfg),
+            "folds": [fr.report.to_dict() for fr in result.folds],
+            "pooled": result.pooled.to_dict(),
+        }
+        _write_json(out, payload)
     print(out)
     return EXIT_OK
 
@@ -127,16 +147,16 @@ def cmd_eval(args) -> int:
     cfg_path = ckpt / "config.cfg"
     cfg = _checked(RunConfig.from_file(cfg_path), source=f"{cfg_path}: ")
     model_cfg = cfg.model_config()
-    cohort = Cohort(args.data)
-    cohort.check_fits(model_cfg)
-    model = Model(model_cfg, seed=cfg.seed)
-    load_checkpoint(model, ckpt)
-    scores, labels, correct, total = TR.evaluate_subjects(model, cohort,
-                                                          cohort.subject_ids())
-    report = TR.subject_report(scores, labels, correct, total)
-    payload = {"config": asdict(cfg), "report": report.to_dict()}
     out = Path(args.out)
-    _write_json(out, payload)
+    with _output_dir(out.parent):
+        cohort = Cohort(args.data)
+        cohort.check_fits(model_cfg)
+        model = Model(model_cfg, seed=cfg.seed)
+        load_checkpoint(model, ckpt)
+        scores, labels, correct, total = TR.evaluate_subjects(model, cohort,
+                                                              cohort.subject_ids())
+        report = TR.subject_report(scores, labels, correct, total)
+        _write_json(out, {"config": asdict(cfg), "report": report.to_dict()})
     print(out)
     return EXIT_OK
 
@@ -185,18 +205,19 @@ def cmd_ablate(args) -> int:
              for loss in LOSS_MODES]
     for cell in cells:
         _checked(cell)   # each cell's head and loss must fit the other keys too
-    cohort = Cohort(args.data)
-    cohort.check_fits(*(cell.model_config() for cell in cells), l_fold=cfg.l_fold)
-    rows = TR.fork_map(lambda cell: _ablate_cell(cell, cohort, args.seeds), cells, args.workers)
-
-    text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=["t", "head", "loss",
-                                              "subject_accuracy", "clip_accuracy", "f1"])
-    writer.writeheader()
-    writer.writerows(rows)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out, text.getvalue())
+    with _output_dir(out.parent):
+        cohort = Cohort(args.data)
+        cohort.check_fits(*(cell.model_config() for cell in cells), l_fold=cfg.l_fold)
+        rows = TR.fork_map(lambda cell: _ablate_cell(cell, cohort, args.seeds), cells,
+                           args.workers)
+
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=["t", "head", "loss",
+                                                  "subject_accuracy", "clip_accuracy", "f1"])
+        writer.writeheader()
+        writer.writerows(rows)
+        write_text_atomic(out, text.getvalue())
     print(out)
     return EXIT_OK
 
@@ -263,6 +284,9 @@ def main(argv=None) -> int:
     except T.NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except KeyboardInterrupt:   # raised once the run's children are reaped
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

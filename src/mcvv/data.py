@@ -38,7 +38,7 @@ SIGNATURE_CYCLES = 2.0
 
 TENSOR_FILE_MAGIC = b"MCVV"
 TENSOR_FILE_MAX_NDIM = 32
-_INTP_MAX = int(np.iinfo(np.intp).max)
+INTP_MAX = int(np.iinfo(np.intp).max)   # numpy refuses an array of more bytes
 
 
 # -- augmentation -------------------------------------------------------------------
@@ -216,7 +216,7 @@ def _read_header(f, path: Path | str) -> tuple[int, ...]:
     shape = tuple(int(x) for x in np.frombuffer(f.read(4 * ndim), dtype="<u4"))
     # numpy refuses a shape whose nonzero extents overflow its byte count,
     # even when a zero extent leaves the array empty
-    if 4 * math.prod(e for e in shape if e) > _INTP_MAX:
+    if 4 * math.prod(e for e in shape if e) > INTP_MAX:
         raise TensorFileError(f"{path}: extents {shape} too large")
     payload, expected = size - 8 - 4 * ndim, 4 * math.prod(shape)
     if payload < expected:
@@ -281,9 +281,9 @@ class CohortSpec:
             raise ValueError("frames_min > frames_max")
         if self.frames_min < self.clip_len:
             raise ValueError("frames_min below clip_len would yield empty subjects")
-        if self.frames_max >= _INTP_MAX:
-            raise ValueError(f"frames_max must be < {_INTP_MAX}, got {self.frames_max}")
-        if 8 * self.clip_len * self.hw ** 2 * self.channels > _INTP_MAX:   # drawn as float64
+        if self.frames_max >= INTP_MAX:
+            raise ValueError(f"frames_max must be < {INTP_MAX}, got {self.frames_max}")
+        if 8 * self.clip_len * self.hw ** 2 * self.channels > INTP_MAX:   # drawn as float64
             raise ValueError("clip_len, hw and channels make a clip too large for numpy")
 
 

@@ -8,12 +8,13 @@ into the cube matrix [B, N, cube], `Model.embed` projects it to [B, N, d],
 and `Model.forward` puts the class token in front, adds the positions and
 maps the [B, N+1, d] tokens to logits [B, 2] over `data.LABEL_NAMES` plus the
 embeddings [B, E] feeding the discriminator loss. Training runs embed and
-forward as one graph. Evaluation's loader thread runs embed, clip by clip
-and with no graph, so only the projected cubes reach the forward.
+forward as one graph. Evaluation runs embed clip by clip and with no
+graph, so only the projected cubes reach the forward.
 """
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,8 +45,16 @@ class ModelConfig:
     multi_branch: bool = True
 
     def __post_init__(self):
-        TB.token_counts(self.tubelet, self.clip_len, self.height, self.width)
+        counts = TB.token_counts(self.tubelet, self.clip_len, self.height, self.width)
         H.check_feature_dim(self.encoder.d, self.multi_branch)
+        # The widest parameter, in float64, the widest engine dtype: the
+        # [cube, d] projection, the [N + 1, d] positions, or an encoder
+        # weight, [d, d] or [d, mlp_hidden]; the head's are narrower.
+        cube = self.tubelet.t * self.tubelet.h * self.tubelet.w * self.channels
+        positions, d, hidden = math.prod(counts) + 1, self.encoder.d, self.encoder.mlp_hidden
+        if 8 * max(cube, positions, d, hidden) * d > D.INTP_MAX:
+            raise ValueError(f"{cube} values per cube, {positions} positions, d={d} and "
+                             f"mlp_hidden={hidden} make a parameter too large for numpy")
 
     def fits_clip(self, shape: tuple[int, ...]) -> bool:
         """Whether a clip of ``shape`` cuts into the cubes this config embeds:
@@ -79,12 +88,12 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def cubes(self, clips, batch: int | None = None) -> Tensor:
+    def cubes(self, clips, batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
         """B clips ([B,T,H,W,C], or an iterable of [T,H,W,C] clips, with
         ``batch`` giving B where it has no length) -> the [B, N, cube]
-        constant `embed` takes, in the model's cubes and dtype (see
-        `tubelet.tubelet_partition`)."""
-        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch)
+        constant `embed` takes, in the model's cubes and dtype, written into
+        ``out`` when given (see `tubelet.tubelet_partition`)."""
+        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch, out)
 
     def embed(self, cubes: Tensor) -> Tensor:
         """[B, N, cube] cubes (see `cubes`) -> the [B, N, d] projected cubes

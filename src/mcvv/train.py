@@ -7,28 +7,34 @@ run. The confusion state behind the discriminator attention resets at each
 epoch boundary. Seeds fix fold assignment, weight init, batch shuffling, and
 augmentation draws, so a rerun reproduces its reports byte for byte.
 
-Training reads ahead: one loader thread reads, augments and partitions the
-next batch while the current batch runs. Evaluation has no loader thread:
-one forked process per core scores its share of the subjects (`fork_map`).
+Training loads ahead in one forked loader process, which reads, augments
+and partitions each batch into one slot of a two-slot ring of shared memory
+while the caller trains on the batch before (`_load_ahead`). The caller
+partitions the first half of the first batch itself, instead of waiting for
+it. Evaluation has no loader: one forked process per core scores its share
+of the subjects (`fork_map`).
 """
 
 from __future__ import annotations
 
-import contextvars
+import math
+import mmap
 import os
 import pickle
-from contextlib import contextmanager
+import signal
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from mcvv import loss as L
 from mcvv import metrics as M
 from mcvv import tensor as T
+from mcvv import tubelet as TB
 from mcvv.config import RunConfig
-from mcvv.data import Cohort, FoldPlan, augment_clip, plan_folds
+from mcvv.data import Cohort, FoldPlan, augment_clip, plan_folds, sample_augment_params
 from mcvv.model import Model, ModelConfig
 
 
@@ -178,7 +184,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
 
     model = Model(model_cfg, seed=_substream(cfg.seed, fold_id, 0))
     shuffle_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 1))
-    augment_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 2))
+    augment = _substream(cfg.seed, fold_id, 2)
 
     moments = init_moments(model.parameters())
     state = L.AdCorreState(epsilon=cfg.epsilon)
@@ -186,14 +192,13 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch(len(train_idx), cfg.batch_size))
 
     history: list[float] = []
-    with _loader() as loader:
-        batches = _batches(model, cohort, train_idx, cfg, shuffle_rng, augment_rng, loader)
+    with closing(_batches(model, cohort, train_idx, cfg, shuffle_rng, augment)) as batches:
         for step, (new_epoch, labels, cubes) in enumerate(batches):
             if new_epoch:
                 state.reset()
             lr = cyclic_lr(step, cfg.base_lr, cfg.max_lr, cycle)
             history.append(train_step(model, moments, cubes, labels, state, loss_params, lr))
-            del cubes   # freed before the loader starts the batch after next
+            del cubes   # dropped before the loader may write the batch after next over it
 
     scores, labels_by_subject, correct, total = evaluate_subjects(model, cohort, eval_subjects)
     report = subject_report(scores, labels_by_subject, correct, total, fold=fold_id)
@@ -209,24 +214,17 @@ def batches_per_epoch(n_clips: int, batch_size: int) -> int:
 
 
 def _batches(model: Model, cohort: Cohort, train_idx: list[int], cfg: RunConfig,
-             shuffle_rng: np.random.Generator, augment_rng: np.random.Generator,
-             loader) -> Iterator[tuple[bool, np.ndarray, T.Tensor]]:
+             shuffle_rng: np.random.Generator,
+             augment: np.random.SeedSequence) -> Iterator[tuple[bool, np.ndarray, T.Tensor]]:
     """A fold's training batches as ``(new_epoch, labels, cubes)``, one per
     step, across epoch boundaries, ending after ``cfg.max_steps`` of them
     (every epoch's when 0), so no batch is loaded past the last step.
 
-    ``loader`` reads, augments and partitions batch i+1 while the caller
-    trains on batch i (see `_read_ahead`). Clips are augmented in the order
-    of a serial loop, so ``augment_rng`` is drawn as it would be there.
+    The cubes come from `_load_ahead`'s ring, so they hold until the batch
+    after next is asked for. Each side of the ring augments with its own
+    generator seeded by ``augment`` and draws for every clip before its own,
+    so each clip is augmented as in a serial loop.
     """
-    def load(job):
-        new_epoch, chunk = job
-        clips = (augment_clip(cohort.frames(i), augment_rng) if cfg.augment
-                 else cohort.frames(i) for i in chunk)
-        # clip by clip, so each raw clip dies once partitioned
-        cubes = model.cubes(clips, len(chunk))
-        return new_epoch, np.array([cohort.records[i].label for i in chunk]), cubes
-
     def chunks():
         size = cfg.batch_size
         for _ in range(cfg.epochs):
@@ -234,34 +232,113 @@ def _batches(model: Model, cohort: Cohort, train_idx: list[int], cfg: RunConfig,
             for b in range(batches_per_epoch(len(order), size)):
                 yield b == 0, [train_idx[i] for i in order[b * size:(b + 1) * size]]
 
-    return _read_ahead(loader, load, islice(chunks(), cfg.max_steps or None))
+    jobs = list(islice(chunks(), cfg.max_steps or None))
+
+    def loader():
+        rng = np.random.default_rng(augment)
+
+        def load(k, rows, out):
+            chunk = jobs[k][1]
+            if cfg.augment:
+                for _ in chunk[:rows.start]:   # the other side's clips
+                    sample_augment_params(rng)
+            clips = (augment_clip(cohort.frames(i), rng) if cfg.augment
+                     else cohort.frames(i) for i in chunk[rows])
+            # clip by clip, so each raw clip dies once partitioned
+            model.cubes(clips, out=out[rows])
+        return load
+
+    cube_shape = (math.prod(model.counts), model.proj.shape[0])
+    with closing(_load_ahead(loader, [len(chunk) for _, chunk in jobs], cube_shape,
+                             model.dtype)) as ring:
+        for k, cubes in enumerate(ring):
+            new_epoch, chunk = jobs[k]
+            labels = np.array([cohort.records[i].label for i in chunk])
+            yield new_epoch, labels, TB.cube_constant(cubes)
 
 
-def _read_ahead(loader, load: Callable, jobs: Iterable) -> Iterator:
-    """``load(job)`` for each of ``jobs``, in order, with job i+1 submitted to
-    ``loader`` before job i's result is yielded. A load runs in the caller's
-    context, numpy's error state included. With one worker, loads run one at
-    a time in the order of ``jobs``, and a load's error reaches the caller,
-    message intact, through ``result()``."""
-    in_flight = None
-    for job in jobs:
-        submitted = loader.submit(contextvars.copy_context().run, load, job)
-        if in_flight is not None:
-            yield in_flight.result()
-        in_flight = submitted
-    if in_flight is not None:
-        yield in_flight.result()
+def _load_ahead(loader: Callable[[], Callable], sizes: Sequence[int],
+                row_shape: tuple[int, ...], dtype) -> Iterator[np.ndarray]:
+    """For each job k in turn, a read-only ``[sizes[k], *row_shape]`` array
+    of ``dtype`` filled by ``load(k, rows, out)``, a function that
+    ``loader()`` makes, writing job k's ``rows`` (a slice) into ``out[rows]``.
+
+    The arrays are views of a two-slot ring of anonymous shared memory, job k
+    in slot k % 2. One forked loader process runs one ``load``: job 0's rows
+    from ``sizes[0] // 2`` on, then each later job whole, sending back only
+    whether it loaded or its error. Meanwhile the caller runs another
+    ``load`` on job 0's first rows. The loader writes job k + 2 only once job
+    k + 1 has been asked for, so an array holds until the one after next is
+    asked for. Raises the earliest failing job's error, the caller's rows of
+    job 0 first, or ChildProcessError for a loader that died; the loader is
+    reaped on every path. BLAS runs one thread fewer than it had (at least 1)
+    while jobs run, leaving the loader a core. Without os.fork the caller
+    runs both ``load`` functions, each job's as it is asked for.
+    """
+    if not sizes:
+        return
+    _keep_freed_heap()
+    count = 2 * max(sizes) * math.prod(row_shape)   # Python ints, so it cannot wrap
+    ring = np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype, count)
+    ring = ring.reshape(2, max(sizes), *row_shape)
+    split = sizes[0] // 2   # the caller loads job 0's rows before it, the loader the rest
+    jobs = [(k, slice(split if k == 0 else 0, size)) for k, size in enumerate(sizes)]
+    own, load = loader(), loader()
+    freed_r, freed_w = os.pipe()   # a byte for each slot the caller has freed
+
+    def run(pipe):   # in the loader process
+        os.close(freed_w)
+        for k, rows in jobs:
+            if k >= 2 and not os.read(freed_r, 1):
+                return   # the caller has gone
+            try:
+                load(k, rows, ring[k % 2])
+            except Exception as exc:
+                pickle.dump(exc, pipe)
+                return
+            pickle.dump(None, pipe)
+            pipe.flush()
+
+    child = None
+    with _blas_threads(lambda n: max(1, n - 1)):
+        try:
+            if hasattr(os, "fork"):
+                child = _Child("loader", run)
+            own(0, slice(0, split), ring[0])
+            for k, rows in jobs:
+                if child is None:
+                    load(k, rows, ring[k % 2])
+                elif (error := child.receive()) is not None:
+                    raise error
+                done = ring[k % 2, :sizes[k]]
+                done.flags.writeable = False
+                yield done
+                if child is not None and k + 2 < len(jobs):
+                    os.write(freed_w, b"\0")
+        finally:
+            if child is not None:
+                child.end()
+            os.close(freed_r)
+            os.close(freed_w)
 
 
-@contextmanager
-def _loader():
-    """One loader thread for `_read_ahead`, with BLAS lending it a core; both
-    end with the block."""
-    # Imported here, so that commands which do not train do not load it.
-    from concurrent.futures import ThreadPoolExecutor
+def _keep_freed_heap():
+    """Have glibc's malloc serve blocks up to 32 MB from the heap and keep up
+    to 64 MB of freed heap mapped, in this process and the ones it forks. Its
+    defaults start at 128 KB and rise only as large blocks are freed, so a
+    fresh process that augments clips hands each clip's temporaries (about
+    7 MB at 64x64) back to the kernel and faults them in again: 27k minor
+    faults per default batch of 16 clips, which doubled its load time. A
+    no-op where the C library has no mallopt."""
+    import ctypes   # here, as in `_openblas`
 
-    with _blas_threads(lambda n: max(1, n - 1)), ThreadPoolExecutor(max_workers=1) as loader:
-        yield loader
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
 
 
 def _openblas():
@@ -298,6 +375,44 @@ def _blas_threads(count: Callable[[int], int]):
         set_(before)
 
 
+class _Child:
+    """A forked process that runs ``run(pipe)``, ``pipe`` being the write end
+    of a pipe whose read end the caller keeps, and leaves by os._exit alone."""
+
+    def __init__(self, name: str, run: Callable):
+        self.name, self.status = name, None
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:   # in the child
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    run(pipe)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def receive(self):
+        """The next object the child pickled; ChildProcessError, once the
+        child is reaped, if it ended before sending it whole."""
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"{self.name} {self.pid} died without a result "
+                                    f"(wait status {self.end()})") from None
+
+    def end(self) -> int:
+        """Kill the child, which has nothing left to send when the caller ends
+        it, reap it and return its wait status; only the first call acts."""
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)   # a no-op once it has exited
+            self.pipe.close()
+            self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
+
+
 _in_map = False   # True while `fork_map` runs jobs, so that maps nest serially
 
 
@@ -307,7 +422,9 @@ def fork_map(fn: Callable, jobs: Sequence, workers: int) -> list:
     a child per other share ``jobs[w::n]``, which pickles its results back
     through a pipe. Raises the lowest-indexed job's error, as a serial loop
     would, or ChildProcessError for a child that died without a result, once
-    every child is reaped. Inside a map, or without os.fork, jobs run serially."""
+    every child is reaped; on every path, Ctrl-C included, each child is
+    killed once its results are in or the map has failed, and reaped. Inside
+    a map, or without os.fork, jobs run serially."""
     global _in_map
     n = 1 if _in_map or not hasattr(os, "fork") else max(1, min(workers, len(jobs)))
     def share(w):   # fn of each job of share w, up to the first error; and that error
@@ -319,32 +436,17 @@ def fork_map(fn: Callable, jobs: Sequence, workers: int) -> list:
             return done, exc
         return done, None
 
-    children, ended = [], []   # (pid, the read end of its pipe); (pid, what it sent, status)
+    children = []
     with _blas_threads(lambda _: 1):
         outer, _in_map = _in_map, True   # children inherit it
         try:
             for w in range(1, n):
-                read, write = os.pipe()
-                pid = os.fork()
-                if pid == 0:   # in the child, which leaves by os._exit alone
-                    try:
-                        with open(write, "wb") as pipe:
-                            pickle.dump(share(w), pipe)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                os.close(write)
-                children.append((pid, open(read, "rb")))
-            shares = [share(0)]
+                children.append(_Child("worker", lambda pipe, w=w: pickle.dump(share(w), pipe)))
+            shares = [share(0)] + [child.receive() for child in children]
         finally:
             _in_map = outer
-            for pid, pipe in children:
-                with pipe:
-                    ended.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
-    for pid, sent, status in ended:
-        if status:
-            raise ChildProcessError(f"worker {pid} died without a result (wait status {status})")
-        shares.append(pickle.loads(sent))
+            for child in children:
+                child.end()
     failed = [(w + n * len(done), error) for w, (done, error) in enumerate(shares) if error]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]

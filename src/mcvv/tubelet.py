@@ -43,7 +43,7 @@ def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tu
 
 
 def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
-                      batch: int | None = None) -> Tensor:
+                      batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
     """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant).
 
     ``clips`` is a [B,T,H,W,C] array or an iterable of B [T,H,W,C] clips;
@@ -54,12 +54,16 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
     before the next is taken, so an iterable that reads clips as it yields
     them never holds a batch of raw clips. The output dtype is ``dtype``, or
     the first clip's when None; float64 when that is not a float dtype the
-    engine supports.
+    engine supports. With ``out``, a [B, N, cube] array whose first extent
+    gives B, the cubes are written into it, in its dtype, and the result
+    wraps it.
     Partitioning only moves values, so, like `tensor.reshape`, it does not
     check them for NaN/Inf: a non-finite clip is caught where `embed`
     projects it.
     """
-    if batch is None:
+    if out is not None:
+        batch = len(out)
+    elif batch is None:
         batch = len(clips)
     if batch < 1:
         raise T.ShapeError(f"a batch needs B >= 1 clips, got B = {batch}")
@@ -73,10 +77,15 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
         n_t, n_h, n_w = token_counts(cfg, frames, height, width)
         if cut is None:
             shape, cut = clip.shape, (n_t, n_h, n_w, channels)
-            dtype = clip.dtype if dtype is None else np.dtype(dtype)
-            if dtype not in (np.float32, np.float64):
-                dtype = np.dtype(np.float64)   # as `Tensor` converts any other dtype
-            out = np.empty((batch, n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels), dtype)
+            cubes = (n_t * n_h * n_w, cfg.t * cfg.h * cfg.w * channels)
+            if out is None:
+                dtype = clip.dtype if dtype is None else np.dtype(dtype)
+                if dtype not in (np.float32, np.float64):
+                    dtype = np.dtype(np.float64)   # as `Tensor` converts any other dtype
+                out = np.empty((batch, *cubes), dtype)
+            elif out.shape[1:] != cubes:
+                raise T.ShapeError(f"clip 0 of shape {clip.shape} cuts into {cubes} cubes, "
+                                   f"out holds {out.shape[1:]}")
         elif (n_t, n_h, n_w, channels) != cut:
             raise T.ShapeError(f"clip {taken} has shape {clip.shape}, clip 0 {shape}: as "
                                f"(n_t, n_h, n_w, C) they cut into {(n_t, n_h, n_w, channels)} "
@@ -91,7 +100,13 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
         del clip, region   # before the iterable reads the next clip
     if taken != batch:
         raise T.ShapeError(f"{taken} clips for a batch of {batch}")
-    return Tensor._from_op(out, (), None, "partition")
+    return cube_constant(out)
+
+
+def cube_constant(cubes: np.ndarray) -> Tensor:
+    """A [B, N, cube] array of cubes, as `tubelet_partition` writes them, as
+    the constant it returns."""
+    return Tensor._from_op(cubes, (), None, "partition")
 
 
 def embed(cubes: Tensor, proj: Tensor) -> Tensor:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 import mcvv
 from mcvv import cli
 from mcvv import data as D
+from mcvv import train as TR
 from mcvv.config import RunConfig, UsageError
 from mcvv.model import Model
 
@@ -161,13 +163,14 @@ def test_usage_error_exit_code():
     (["train", "--base-lr", "-1"], "base_lr"),
     (["kfold", "--max-lr", "-1"], "max_lr"),
     (["train", "--mlp-hidden", "0"], "mlp_hidden"),
+    (["train", "--mlp-hidden", "4611686018427387904"], "mlp_hidden"),
 ], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
         "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell", "epochs",
         "max-steps", "channels", "hw", "noise", "clip-len", "mci", "gen-data-seed",
         "train-seed", "kfold-seed", "ablate-seed", "gradcheck-seed", "noise-nan",
         "max-lr-inf", "ablate-seeds", "ablate-workers-zero",
         "ablate-workers-negative", "epsilon-negative", "base-lr-negative",
-        "max-lr-negative", "mlp-hidden-zero"])
+        "max-lr-negative", "mlp-hidden-zero", "mlp-hidden-too-large"])
 def test_bad_config_value_is_one_line_usage_error(argv, key, dataset, tmp_path, capsys):
     """``key``, when given, is the run key the message must name."""
     command, *flags = argv
@@ -481,7 +484,7 @@ def test_run_whose_values_go_non_finite_is_one_line_exit_2(dataset, tmp_path, ca
 
 
 def test_eval_whose_projection_overflows_is_one_line_exit_2(dataset, checkpoint, tmp_path):
-    # The projection runs on the loader thread, which must keep main's numpy
+    # The projection runs in an evaluation worker, which must keep main's numpy
     # error state, or numpy's overflow warning reaches stderr before the error.
     # A subprocess, so stderr is what a user sees.
     ckpt = tmp_path / "ckpt"
@@ -615,6 +618,117 @@ def test_eval_leaves_no_process_behind(dataset, checkpoint, tmp_path):
     assert json.loads(out.read_text())["report"]["n_subjects"] == 5
     with pytest.raises(ProcessLookupError):
         os.killpg(run.pid, 0)
+
+
+def test_train_leaves_no_process_behind(dataset, tmp_path):
+    # train forks its loader and evaluation's workers; once it exits, none
+    # of its session may run
+    out = tmp_path / "run"
+    run = subprocess.Popen([sys.executable, "-m", "mcvv", "train", "--data", str(dataset),
+                            "--out", str(out)] + TINY,
+                           env=_src_env(), start_new_session=True,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    _, err = run.communicate(timeout=120)
+    assert run.returncode == 0, err
+    assert json.loads((out / "report.json").read_text())["report"]["fold"] == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(run.pid, 0)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_work(monkeypatch):
+    """Record each training step and each evaluation; neither runs."""
+    ran = []
+
+    def step(*args):
+        ran.append("train_step")
+        raise AssertionError("a training step ran")
+
+    def evaluate(*args):
+        ran.append("evaluate_subjects")
+        raise AssertionError("subjects were scored")
+
+    monkeypatch.setattr(TR, "train_step", step)
+    monkeypatch.setattr(TR, "evaluate_subjects", evaluate)
+    return ran
+
+
+@pytest.mark.parametrize("command", ["train", "kfold", "ablate", "eval"])
+def test_output_path_no_directory_can_take_fails_before_any_work(command, dataset, checkpoint,
+                                                                 tmp_path, capsys,
+                                                                 monkeypatch):
+    # a file stands where the output's directory must go
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ran = _count_work(monkeypatch)
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                "--out", str(blocker / "eval.json")]
+    else:
+        out = blocker / ("sub" if command == "train" else "sub/out.json")
+        argv = [command, "--data", str(dataset), "--out", str(out)] + TINY
+    assert cli.main(argv) == cli.EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: "), lines
+    assert str(blocker) in lines[0]
+    assert ran == []
+
+
+@pytest.mark.parametrize("command", ["train", "kfold", "ablate", "eval"])
+def test_failed_run_removes_the_output_directories_it_made(command, checkpoint, tmp_path,
+                                                           capsys):
+    out = tmp_path / "out" / "a" / "b"
+    missing = str(tmp_path / "no-data")
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", missing,
+                "--out", str(out / "eval.json")]
+    else:
+        argv = [command, "--data", missing, "--out", str(out / "result")] + TINY
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "no manifest" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_ctrl_c_reaps_every_child_and_exits_130(dataset, tmp_path, capsys, monkeypatch):
+    real, steps = TR.train_step, []
+
+    def interrupted_at_step_2(*args):
+        steps.append(1)
+        if len(steps) == 2:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(TR, "train_step", interrupted_at_step_2)
+    out = tmp_path / "run"
+    argv = ["train", "--data", str(dataset), "--out", str(out)] + TINY + ["--max-steps", "4"]
+    assert cli.main(argv) == cli.EXIT_INTERRUPTED == 130
+    assert capsys.readouterr().err.splitlines() == ["interrupted"]
+    assert len(steps) == 2
+    _no_child_left()
+    assert not out.exists()
+
+
+def test_killed_loader_is_one_line_exit_3(dataset, tmp_path, capsys, monkeypatch):
+    caller, real = os.getpid(), TR.augment_clip
+
+    def augment_clip(frames, rng):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(frames, rng)
+
+    monkeypatch.setattr(TR, "augment_clip", augment_clip)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(dataset), "--out", str(out)] + TINY) == cli.EXIT_IO
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert re.fullmatch(r"i/o error: loader \d+ died without a result \(wait status 9\)",
+                        lines[0]), lines[0]
+    _no_child_left()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [

@@ -37,6 +37,19 @@ def test_fits_clip_ignores_only_what_fills_no_cube(shape, fits):
     assert tiny_cfg().fits_clip(shape) is fits
 
 
+@pytest.mark.parametrize("size", [
+    dict(encoder=EncoderConfig(mlp_hidden=2 ** 62)),
+    dict(encoder=EncoderConfig(d=2 ** 31, heads=1)),
+    dict(clip_len=8, height=2 ** 25, width=2 ** 25, tubelet=TubeletConfig(t=8, h=2 ** 25,
+                                                                          w=2 ** 25)),
+    dict(clip_len=2 ** 20, height=2 ** 20, width=2 ** 20, tubelet=TubeletConfig(t=1, h=1, w=1)),
+], ids=["mlp-hidden", "d", "cube", "positions"])
+def test_model_config_refuses_a_parameter_numpy_cannot_index(size):
+    # refused before any array exists, in Python ints that cannot wrap
+    with pytest.raises(ValueError, match=r"mlp_hidden=\d+ make a parameter too large for numpy"):
+        ModelConfig(**size)
+
+
 def _forward(model, clips):
     """Logits and embeddings of B clips, cut, embedded and forwarded as one graph."""
     return model.forward(model.embed(model.cubes(clips)))

@@ -165,10 +165,62 @@ def test_batch_loss_counts_the_batch_after_building_the_loss():
     assert L.hp_loss(logits, labels, emb, state, params).item() != loss
 
 
-def test_read_ahead_loads_in_the_callers_numpy_error_state():
-    with TR._loader() as loader, np.errstate(over="raise"):
-        states = list(TR._read_ahead(loader, lambda job: np.geterr()["over"], range(3)))
-    assert states == ["raise"] * 3
+_ERROR_MODES = ["ignore", "warn", "raise", "call", "print", "log"]
+
+
+def _stamping_loader():
+    """A `_load_ahead` loader whose load writes, in each row it fills, the
+    job, the loading process and its numpy overflow mode."""
+    def load(k, rows, out):
+        out[rows] = k, os.getpid(), _ERROR_MODES.index(np.geterr()["over"])
+    return load
+
+
+def _stamps(sizes):
+    """Each job's rows as `_stamping_loader` filled them, read before the
+    next job is asked for, and whether the arrays handed over were writeable.
+    Each is read after a pause, long enough for a loader that wrote a slot
+    too early to write over it."""
+    stamps, writeable = [], set()
+    for done in TR._load_ahead(_stamping_loader, sizes, (3,), np.float64):
+        time.sleep(0.02)
+        stamps.append([(int(k), int(pid), _ERROR_MODES[int(mode)]) for k, pid, mode in done])
+        writeable.add(done.flags.writeable)
+    return stamps, writeable
+
+
+def test_loader_process_loads_in_the_callers_numpy_error_state():
+    with np.errstate(over="raise"):
+        stamps, _ = _stamps([2, 2, 2])
+    assert [mode for job in stamps for _, _, mode in job] == ["raise"] * 6
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_load_ahead_splits_job_0_with_the_caller_and_loads_the_rest_in_one_child(fork,
+                                                                                monkeypatch):
+    if not fork:
+        monkeypatch.delattr(TR.os, "fork")
+    sizes = [5, 4, 5, 2, 5]
+    stamps, writeable = _stamps(sizes)
+    assert [[k for k, _, _ in job] for job in stamps] == [[k] * n for k, n in enumerate(sizes)]
+    pids = [[pid for _, pid, _ in job] for job in stamps]
+    assert pids[0][:2] == [os.getpid()] * 2   # the first half, rounded down
+    loader_pid = pids[0][2]
+    assert (loader_pid != os.getpid()) == fork
+    assert pids[0][2:] == [loader_pid] * 3
+    assert all(job == [loader_pid] * len(job) for job in pids[1:])
+    assert writeable == {False}
+    _no_child_left()
+
+
+def test_load_ahead_reaps_its_loader_when_closed_early():
+    blas = _blas_threads()
+    ring = TR._load_ahead(_stamping_loader, [2] * 6, (3,), np.float64)
+    next(ring)
+    ring.close()
+    _no_child_left()
+    assert _blas_threads() == blas
 
 
 # -- cyclic schedule ----------------------------------------------------------------
@@ -307,7 +359,7 @@ def test_step_graph_is_freed_before_the_next_forward(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("truncate", [False, True])
-def test_loader_thread_and_blas_threads_end_with_the_fold(truncate, tmp_path, monkeypatch):
+def test_loader_process_and_blas_threads_end_with_the_fold(truncate, tmp_path, monkeypatch):
     cohort = tiny_cohort(tmp_path)
     plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
     cfg = quick_train_cfg(max_steps=0, epochs=1)
@@ -315,17 +367,128 @@ def test_loader_thread_and_blas_threads_end_with_the_fold(truncate, tmp_path, mo
         clip = cohort.root / cohort.records[cohort.clips_of(plan.folds[1][0])[0]].clip_path
         clip.write_bytes(clip.read_bytes()[:-10])
     seen = _watch_steps(monkeypatch)
-    threads, blas = threading.active_count(), _blas_threads()
+    blas = _blas_threads()
     if truncate:
         with pytest.raises(ValueError, match=rf"{clip.name}: truncated payload"):
             TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
     else:
         TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
         assert len(seen) == 6
-    assert threading.active_count() == threads
+    _no_child_left()
     assert _blas_threads() == blas
     if blas is not None:   # the loader has a core to itself while the fold trains
         assert {during for _, during in seen} <= {max(1, blas - 1)}
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("batch_size, augment", [(8, True), (5, True), (5, False)])
+def test_batches_match_a_serial_loop(batch_size, augment, fork, tmp_path, monkeypatch):
+    # the caller's half of batch 0 and the loader's other half draw
+    # augmentations as one serial loop does, at even and odd batch sizes
+    if not fork:
+        monkeypatch.delattr(TR.os, "fork")
+    cohort = tiny_cohort(tmp_path)
+    model = Model(tiny_model_cfg(), seed=0)
+    train_idx = list(range(len(cohort)))
+    cfg = quick_train_cfg(batch_size=batch_size, augment=augment, max_steps=5)
+    augment_seed = np.random.SeedSequence(7)
+    got = [(new_epoch, labels.tolist(), cubes.data.copy()) for new_epoch, labels, cubes
+           in TR._batches(model, cohort, train_idx, cfg, np.random.default_rng(1),
+                          augment_seed)]
+    shuffle_rng, augment_rng = np.random.default_rng(1), np.random.default_rng(augment_seed)
+    expected = []
+    while len(expected) < cfg.max_steps:
+        order = shuffle_rng.permutation(len(train_idx))
+        for b in range(TR.batches_per_epoch(len(order), batch_size)):
+            chunk = [train_idx[i] for i in order[b * batch_size:(b + 1) * batch_size]]
+            clips = [D.augment_clip(cohort.frames(i), augment_rng) if augment
+                     else cohort.frames(i) for i in chunk]
+            expected.append((b == 0, [cohort.records[i].label for i in chunk],
+                             model.cubes(clips).data))
+    assert len(got) == cfg.max_steps
+    for (new_epoch, labels, cubes), (e_new_epoch, e_labels, e_cubes) in zip(got, expected):
+        assert (new_epoch, labels) == (e_new_epoch, e_labels)
+        np.testing.assert_array_equal(cubes, e_cubes)
+    _no_child_left()
+
+
+def test_training_is_bit_identical_with_and_without_fork(tmp_path, monkeypatch):
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    runs = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(TR.os, "fork")
+        result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(),
+                               quick_train_cfg(batch_size=5, max_steps=7))
+        runs.append((result.history,
+                     [p.data.tobytes() for _, p in result.model.named_parameters()]))
+    assert runs[0] == runs[1]
+
+
+def _serial_reads(cohort, plan, cfg, monkeypatch):
+    """The clip files a fold's training loop reads, in the order of a serial
+    loop: the loader runs in the caller when there is no os.fork."""
+    reads, real = [], D.Cohort.frames
+
+    def frames(self, index):
+        reads.append(self.root / self.records[index].clip_path)
+        return real(self, index)
+
+    def evaluate_subjects(*args):   # reads clips too, but not the loop's
+        raise StopIteration
+
+    with monkeypatch.context() as patch:
+        patch.delattr(TR.os, "fork")
+        patch.setattr(D.Cohort, "frames", frames)
+        patch.setattr(TR, "evaluate_subjects", evaluate_subjects)
+        with pytest.raises(StopIteration):
+            TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
+    return reads
+
+
+@pytest.mark.parametrize("truncated, failing", [([0], 0), ([7], 7), ([16], 16), ([7, 0], 0),
+                                                ([16, 9], 9)],
+                         ids=["caller", "loader-batch-0", "loader-batch-2", "caller-first",
+                              "loader-batch-1-first"])
+def test_truncated_training_clip_gives_the_serial_loops_error(truncated, failing, tmp_path,
+                                                              monkeypatch):
+    # batches of 8: the caller loads reads 0-3 and the loader reads 4-7 of
+    # batch 0, then every later batch; the earliest read's error is raised
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    cfg = quick_train_cfg(batch_size=8, max_steps=3)
+    reads = _serial_reads(cohort, plan, cfg, monkeypatch)
+    assert len(reads) == 24 and len(set(reads[:8])) == 8
+    for k in truncated:
+        reads[k].write_bytes(reads[k].read_bytes()[:-10])
+    messages = []
+    for fork in (True, False):
+        with monkeypatch.context() as patch:
+            if not fork:
+                patch.delattr(TR.os, "fork")
+            with pytest.raises(D.TensorFileError) as caught:
+                TR.train_fold(cohort, plan, 0, tiny_model_cfg(), cfg)
+        messages.append(str(caught.value))
+    assert messages == [f"{reads[failing]}: truncated payload"] * 2
+    _no_child_left()
+
+
+def test_a_killed_loader_raises_child_process_error(tmp_path, monkeypatch):
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    caller, real = os.getpid(), TR.augment_clip
+
+    def augment_clip(frames, rng):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(frames, rng)
+
+    monkeypatch.setattr(TR, "augment_clip", augment_clip)
+    # an OSError, so the CLI prints it as one line and exits 3
+    with pytest.raises(ChildProcessError, match=r"^loader \d+ died without a result"):
+        TR.train_fold(cohort, plan, 0, tiny_model_cfg(), quick_train_cfg(max_steps=4))
+    _no_child_left()
 
 
 def test_training_does_not_depend_on_the_blas_thread_count(tmp_path):

@@ -114,6 +114,20 @@ def test_partition_from_generator_equals_list_and_array():
     np.testing.assert_array_equal(as64.data, from_list.data.astype(np.float64))
 
 
+def test_partition_writes_into_out_and_wraps_it():
+    cfg = TB.TubeletConfig(t=4, h=4, w=4)
+    clips = _clips(3)
+    out = np.full((5, 8, 192), np.nan)   # rows 1-3 of a larger float64 block
+    cubes = TB.tubelet_partition((c for c in clips), cfg, out=out[1:4])
+    assert cubes.data.base is out and cubes.dtype == np.float64
+    np.testing.assert_array_equal(out[1:4], TB.tubelet_partition(clips, cfg, np.float64).data)
+    assert np.isnan(out[[0, 4]]).all()
+    with pytest.raises(T.ShapeError, match=r"cuts into \(8, 192\) cubes, out holds \(8, 96\)"):
+        TB.tubelet_partition(clips, cfg, out=np.empty((3, 8, 96)))
+    with pytest.raises(T.ShapeError, match="more than the batch of 2 clips"):
+        TB.tubelet_partition(clips, cfg, out=np.empty((2, 8, 192)))
+
+
 def test_partition_takes_one_clip_at_a_time():
     # when a clip is read, every clip before it has been partitioned and dropped
     refs = []

@@ -192,9 +192,8 @@ def _ablate_cell(cell: RunConfig, cohort: Cohort, seeds: int) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    for name in ("seeds", "workers"):
-        if getattr(args, name) < 1:
-            raise UsageError(f"{name} must be >= 1, got {getattr(args, name)}")
+    if args.seeds < 1:
+        raise UsageError(f"seeds must be >= 1, got {args.seeds}")
     cfg = _resolve_config(args)
     for t_value in ABLATION_T_VALUES:
         if cfg.clip_len % t_value:
@@ -209,8 +208,7 @@ def cmd_ablate(args) -> int:
     with _output_dir(out.parent):
         cohort = Cohort(args.data)
         cohort.check_fits(*(cell.model_config() for cell in cells), l_fold=cfg.l_fold)
-        rows = TR.fork_map(lambda cell: _ablate_cell(cell, cohort, args.seeds), cells,
-                           args.workers)
+        rows = TR.fork_map(lambda cell: _ablate_cell(cell, cohort, args.seeds), cells)
 
         text = io.StringIO()
         writer = csv.DictWriter(text, fieldnames=["t", "head", "loss",
@@ -261,7 +259,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seeds", type=int, default=1, help="seeds per cell (median reported)")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
 

@@ -9,6 +9,7 @@ Reports embed the resolved config so a run is reproducible from its report alone
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -93,8 +94,9 @@ class RunConfig:
             raise ValueError(f"head must be one of {HEAD_MODES}, got {self.head!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0 (0 means no cap), got {self.max_steps}")
+        if not 0 <= self.max_steps <= sys.maxsize:
+            raise ValueError(f"max_steps must be >= 0 (0 means no cap) and <= {sys.maxsize}, "
+                             f"got {self.max_steps}")
         if self.l_fold < 1:
             raise ValueError(f"l_fold must be >= 1, got {self.l_fold}")
         if self.cycle_steps < 0 or self.cycle_steps == 1:

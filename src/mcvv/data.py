@@ -109,7 +109,7 @@ def _bilinear_taps(height: int, width: int,
     return index.reshape(-1, 4), weight.reshape(-1, 4)
 
 
-def apply_augment(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
+def augment_clip(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
     """Apply one transform sample identically to every frame of a [L,H,W,C] clip.
 
     Flips, rotation and crop-resize compose into one map, and the clip is
@@ -134,10 +134,6 @@ def apply_augment(frames: np.ndarray, params: AugmentParams) -> np.ndarray:
     out.view(pixel).reshape(length, height, width)[...] = \
         sampled.reshape(height, width, length).transpose(2, 0, 1)
     return out
-
-
-def augment_clip(frames: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return apply_augment(frames, sample_augment_params(rng))
 
 
 # -- fold planning ----------------------------------------------------------------------

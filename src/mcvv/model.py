@@ -88,12 +88,12 @@ class Model:
 
     # -- forward -------------------------------------------------------------------
 
-    def cubes(self, clips, batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
-        """B clips ([B,T,H,W,C], or an iterable of [T,H,W,C] clips, with
-        ``batch`` giving B where it has no length) -> the [B, N, cube]
-        constant `embed` takes, in the model's cubes and dtype, written into
-        ``out`` when given (see `tubelet.tubelet_partition`)."""
-        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, batch, out)
+    def cubes(self, clips, out: np.ndarray | None = None) -> Tensor:
+        """B clips ([B,T,H,W,C], or a sequence of [T,H,W,C] clips; with
+        ``out``, any iterable of them) -> the [B, N, cube] constant `embed`
+        takes, in the model's cubes and dtype, written into ``out`` when
+        given (see `tubelet.tubelet_partition`)."""
+        return TB.tubelet_partition(clips, self.cfg.tubelet, self.dtype, out)
 
     def embed(self, cubes: Tensor) -> Tensor:
         """[B, N, cube] cubes (see `cubes`) -> the [B, N, d] projected cubes

@@ -17,8 +17,9 @@ A graph lives until one ``backward`` consumes it, as PyTorch's default
 drops its gradient, parents and closure, so each layer's activations and
 gradients die as soon as the walk has passed them. Leaves keep accumulating
 ``.grad``, and the loss keeps its own; a second ``backward`` through a
-consumed graph raises. Inside ``no_grad()`` operations record nothing, so a
-forward that is never differentiated (evaluation) builds no graph at all.
+consumed graph raises. Inside ``no_grad()``, a flag for the whole process,
+operations record nothing, so a forward that is never differentiated
+(evaluation) builds no graph at all.
 
 Every operation checks its output for NaN/Inf and raises NonFiniteError
 naming the operation instead of letting bad values propagate: a later check
@@ -32,7 +33,6 @@ each weight it flows to, and ``train.adam_step`` checks those first.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -61,26 +61,21 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 
-class _GradMode(threading.local):
-    """Whether operations record a graph, per thread; see `no_grad`."""
-
-    enabled = True
-
-
-_grad_mode = _GradMode()
+_grad_enabled = True   # whether operations record a graph; see `no_grad`
 
 
 @contextmanager
 def no_grad():
-    """Operations inside the block, on this thread, record no graph: their
-    outputs have no parents and do not require gradients. The previous mode
-    comes back when the block ends, also when it raises."""
-    before = _grad_mode.enabled
-    _grad_mode.enabled = False
+    """Operations inside the block record no graph: their outputs have no
+    parents and do not require gradients. The mode is one flag for the
+    process; mcvv starts no threads, and a forked worker has its own copy.
+    The previous mode comes back when the block ends, also when it raises."""
+    global _grad_enabled
+    before, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        _grad_mode.enabled = before
+        _grad_enabled = before
 
 
 class Tensor:
@@ -89,8 +84,7 @@ class Tensor:
     The graph is implicit: non-leaf tensors hold their parents and a
     closure computing parent gradients from the output gradient, until
     `backward` consumes them (see the module docstring); under `no_grad` they
-    hold neither. A graph must stay on the thread that built it; the arrays
-    themselves are value-semantic and safe to hand across threads.
+    hold neither.
     """
 
     # __weakref__ lets a caller watch a graph die without keeping it alive.
@@ -119,7 +113,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._op = op
-        if _grad_mode.enabled and any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._grad_fn = grad_fn

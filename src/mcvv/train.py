@@ -7,12 +7,13 @@ run. The confusion state behind the discriminator attention resets at each
 epoch boundary. Seeds fix fold assignment, weight init, batch shuffling, and
 augmentation draws, so a rerun reproduces its reports byte for byte.
 
-Training loads ahead in one forked loader process, which reads, augments
-and partitions each batch into one slot of a two-slot ring of shared memory
-while the caller trains on the batch before (`_load_ahead`). The caller
-partitions the first half of the first batch itself, instead of waiting for
-it. Evaluation has no loader: one forked process per core scores its share
-of the subjects (`fork_map`).
+Training draws every clip's augmentation parameters in the caller, before
+any load (`_batches`). It then loads ahead in one forked loader process,
+which reads, augments and partitions each batch into one slot of a two-slot
+ring of shared memory while the caller trains on the batch before
+(`_load_ahead`). The caller partitions the first half of the first batch
+itself, instead of waiting for it. Evaluation has no loader: one forked
+process per core scores its share of the subjects (`fork_map`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from mcvv import metrics as M
 from mcvv import tensor as T
 from mcvv import tubelet as TB
 from mcvv.config import RunConfig
-from mcvv.data import Cohort, FoldPlan, augment_clip, plan_folds, sample_augment_params
+from mcvv.data import (Cohort, DataError, FoldPlan, augment_clip, plan_folds,
+                       sample_augment_params)
 from mcvv.model import Model, ModelConfig
 
 
@@ -152,8 +154,7 @@ def evaluate_subjects(model: Model, cohort: Cohort,
         correct = int(np.sum((probs >= 0.5) == [cohort.records[i].label for i in idxs]))
         return M.aggregate_subject(probs)[0], cohort.subject_label(subject), correct, len(idxs)
 
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    scored = fork_map(score, subjects, cores or 1)
+    scored = fork_map(score, subjects)
     scores, labels = ({s: r[i] for s, r in zip(subjects, scored)} for i in (0, 1))
     return scores, labels, sum(r[2] for r in scored), sum(r[3] for r in scored)
 
@@ -179,8 +180,10 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     if overlap:
         raise RuntimeError(f"subjects straddle folds: {sorted(overlap)}")
     train_idx = [i for s in train_subjects for i in cohort.clips_of(s)]
-    if not train_idx:
-        raise ValueError(f"fold {fold_id}: empty training split")
+    steps_per_epoch = batches_per_epoch(len(train_idx), cfg.batch_size)
+    if not steps_per_epoch:
+        raise DataError(f"fold {fold_id} trains on {len(train_idx)} clip(s), "
+                        f"fewer than a batch's 2")
 
     model = Model(model_cfg, seed=_substream(cfg.seed, fold_id, 0))
     shuffle_rng = np.random.default_rng(_substream(cfg.seed, fold_id, 1))
@@ -189,7 +192,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
     moments = init_moments(model.parameters())
     state = L.AdCorreState(epsilon=cfg.epsilon)
     loss_params = cfg.loss_params()
-    cycle = cfg.cycle_steps or max(2, 2 * batches_per_epoch(len(train_idx), cfg.batch_size))
+    cycle = cfg.cycle_steps or max(2, 2 * steps_per_epoch)
 
     history: list[float] = []
     with closing(_batches(model, cohort, train_idx, cfg, shuffle_rng, augment)) as batches:
@@ -220,60 +223,54 @@ def _batches(model: Model, cohort: Cohort, train_idx: list[int], cfg: RunConfig,
     step, across epoch boundaries, ending after ``cfg.max_steps`` of them
     (every epoch's when 0), so no batch is loaded past the last step.
 
-    The cubes come from `_load_ahead`'s ring, so they hold until the batch
-    after next is asked for. Each side of the ring augments with its own
-    generator seeded by ``augment`` and draws for every clip before its own,
-    so each clip is augmented as in a serial loop.
+    The job list is drawn in the caller before any load: each clip with its
+    augmentation parameters, drawn in clip order from one generator seeded
+    by ``augment`` (None when augmentation is off), so each clip is augmented
+    as in a serial loop, whichever process loads it. The cubes come from
+    `_load_ahead`'s ring, so they hold until the batch after next is asked
+    for.
     """
     def chunks():
-        size = cfg.batch_size
+        rng, size = np.random.default_rng(augment), cfg.batch_size
         for _ in range(cfg.epochs):
             order = shuffle_rng.permutation(len(train_idx))
             for b in range(batches_per_epoch(len(order), size)):
-                yield b == 0, [train_idx[i] for i in order[b * size:(b + 1) * size]]
+                yield b == 0, [(train_idx[i], sample_augment_params(rng) if cfg.augment else None)
+                               for i in order[b * size:(b + 1) * size]]
 
     jobs = list(islice(chunks(), cfg.max_steps or None))
 
-    def loader():
-        rng = np.random.default_rng(augment)
-
-        def load(k, rows, out):
-            chunk = jobs[k][1]
-            if cfg.augment:
-                for _ in chunk[:rows.start]:   # the other side's clips
-                    sample_augment_params(rng)
-            clips = (augment_clip(cohort.frames(i), rng) if cfg.augment
-                     else cohort.frames(i) for i in chunk[rows])
-            # clip by clip, so each raw clip dies once partitioned
-            model.cubes(clips, out=out[rows])
-        return load
+    def load(k, rows, out):
+        # clip by clip, so each raw clip dies once partitioned
+        clips = (cohort.frames(i) if params is None else augment_clip(cohort.frames(i), params)
+                 for i, params in jobs[k][1][rows])
+        model.cubes(clips, out=out[rows])
 
     cube_shape = (math.prod(model.counts), model.proj.shape[0])
-    with closing(_load_ahead(loader, [len(chunk) for _, chunk in jobs], cube_shape,
+    with closing(_load_ahead(load, [len(chunk) for _, chunk in jobs], cube_shape,
                              model.dtype)) as ring:
-        for k, cubes in enumerate(ring):
-            new_epoch, chunk = jobs[k]
-            labels = np.array([cohort.records[i].label for i in chunk])
+        for (new_epoch, chunk), cubes in zip(jobs, ring):
+            labels = np.array([cohort.records[i].label for i, _ in chunk])
             yield new_epoch, labels, TB.cube_constant(cubes)
 
 
-def _load_ahead(loader: Callable[[], Callable], sizes: Sequence[int],
+def _load_ahead(load: Callable, sizes: Sequence[int],
                 row_shape: tuple[int, ...], dtype) -> Iterator[np.ndarray]:
     """For each job k in turn, a read-only ``[sizes[k], *row_shape]`` array
-    of ``dtype`` filled by ``load(k, rows, out)``, a function that
-    ``loader()`` makes, writing job k's ``rows`` (a slice) into ``out[rows]``.
+    of ``dtype`` filled by ``load(k, rows, out)``, which writes job k's
+    ``rows`` (a slice) into ``out[rows]`` and keeps no state between calls.
 
     The arrays are views of a two-slot ring of anonymous shared memory, job k
-    in slot k % 2. One forked loader process runs one ``load``: job 0's rows
-    from ``sizes[0] // 2`` on, then each later job whole, sending back only
-    whether it loaded or its error. Meanwhile the caller runs another
-    ``load`` on job 0's first rows. The loader writes job k + 2 only once job
-    k + 1 has been asked for, so an array holds until the one after next is
-    asked for. Raises the earliest failing job's error, the caller's rows of
-    job 0 first, or ChildProcessError for a loader that died; the loader is
-    reaped on every path. BLAS runs one thread fewer than it had (at least 1)
-    while jobs run, leaving the loader a core. Without os.fork the caller
-    runs both ``load`` functions, each job's as it is asked for.
+    in slot k % 2. One forked loader process runs ``load`` on job 0's rows
+    from ``sizes[0] // 2`` on, then on each later job whole, sending back
+    only whether it loaded or its error. Meanwhile the caller runs it on job
+    0's first rows. The loader writes job k + 2 only once job k + 1 has been
+    asked for, so an array holds until the one after next is asked for.
+    Raises the earliest failing job's error, the caller's rows of job 0
+    first, or ChildProcessError for a loader that died; the loader is reaped
+    on every path. BLAS runs one thread fewer than it had (at least 1) while
+    jobs run, leaving the loader a core. Without os.fork the caller runs
+    ``load`` on each job's other rows as the job is asked for.
     """
     if not sizes:
         return
@@ -283,7 +280,6 @@ def _load_ahead(loader: Callable[[], Callable], sizes: Sequence[int],
     ring = ring.reshape(2, max(sizes), *row_shape)
     split = sizes[0] // 2   # the caller loads job 0's rows before it, the loader the rest
     jobs = [(k, slice(split if k == 0 else 0, size)) for k, size in enumerate(sizes)]
-    own, load = loader(), loader()
     freed_r, freed_w = os.pipe()   # a byte for each slot the caller has freed
 
     def run(pipe):   # in the loader process
@@ -304,7 +300,7 @@ def _load_ahead(loader: Callable[[], Callable], sizes: Sequence[int],
         try:
             if hasattr(os, "fork"):
                 child = _Child("loader", run)
-            own(0, slice(0, split), ring[0])
+            load(0, slice(0, split), ring[0])
             for k, rows in jobs:
                 if child is None:
                     load(k, rows, ring[k % 2])
@@ -416,17 +412,19 @@ class _Child:
 _in_map = False   # True while `fork_map` runs jobs, so that maps nest serially
 
 
-def fork_map(fn: Callable, jobs: Sequence, workers: int) -> list:
-    """``[fn(job) for job in jobs]`` over ``workers`` processes, one per job
-    at most, with BLAS at one thread: the caller runs ``jobs[0::n]`` and forks
-    a child per other share ``jobs[w::n]``, which pickles its results back
-    through a pipe. Raises the lowest-indexed job's error, as a serial loop
-    would, or ChildProcessError for a child that died without a result, once
-    every child is reaped; on every path, Ctrl-C included, each child is
-    killed once its results are in or the map has failed, and reaped. Inside
-    a map, or without os.fork, jobs run serially."""
+def fork_map(fn: Callable, jobs: Sequence) -> list:
+    """``[fn(job) for job in jobs]`` over n processes, one per core the
+    caller may run on and one per job at most, with BLAS at one thread: the
+    caller runs ``jobs[0::n]`` and forks a child per other share
+    ``jobs[w::n]``, which pickles its results back through a pipe. Raises
+    the lowest-indexed job's error, as a serial loop would, or
+    ChildProcessError for a child that died without a result, once every
+    child is reaped; on every path, Ctrl-C included, each child is killed
+    once its results are in or the map has failed, and reaped. Inside a
+    map, or without os.fork, jobs run serially."""
     global _in_map
-    n = 1 if _in_map or not hasattr(os, "fork") else max(1, min(workers, len(jobs)))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = 1 if _in_map or not hasattr(os, "fork") else max(1, min(cores or 1, len(jobs)))
     def share(w):   # fn of each job of share w, up to the first error; and that error
         done = []
         try:

@@ -43,11 +43,11 @@ def token_counts(cfg: TubeletConfig, frames: int, height: int, width: int) -> tu
 
 
 def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
-                      batch: int | None = None, out: np.ndarray | None = None) -> Tensor:
+                      out: np.ndarray | None = None) -> Tensor:
     """B clips -> [B, n_t*n_h*n_w, t*h*w*C] cube tensor (a constant).
 
-    ``clips`` is a [B,T,H,W,C] array or an iterable of B [T,H,W,C] clips;
-    ``batch`` gives B where the iterable has no length. Each clip is cut to
+    ``clips`` is a [B,T,H,W,C] array or a sequence of B [T,H,W,C] clips, or,
+    with ``out``, any iterable of them. Each clip is cut to
     the region its whole cubes cover, so clips may differ in trailing frames
     and pixels, but not in token counts or channels. Clips are taken one at a
     time, and each clip's cubes are written into its slot of the output
@@ -61,10 +61,7 @@ def tubelet_partition(clips, cfg: TubeletConfig, dtype=None,
     check them for NaN/Inf: a non-finite clip is caught where `embed`
     projects it.
     """
-    if out is not None:
-        batch = len(out)
-    elif batch is None:
-        batch = len(clips)
+    batch = len(clips if out is None else out)
     if batch < 1:
         raise T.ShapeError(f"a batch needs B >= 1 clips, got B = {batch}")
     shape = cut = None

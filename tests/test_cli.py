@@ -144,6 +144,7 @@ def test_usage_error_exit_code():
     (["ablate", "--head", "nomc", "--d", "12"], None),
     (["train", "--epochs", "0"], "epochs"),
     (["kfold", "--max-steps", "-1"], "max_steps"),
+    (["train", "--max-steps", "100000000000000000000"], "max_steps"),
     (["gen-data", "--channels", "0"], "channels"),
     (["gen-data", "--hw", "0"], "hw"),
     (["gen-data", "--noise", "-1"], "noise"),
@@ -157,8 +158,6 @@ def test_usage_error_exit_code():
     (["gen-data", "--noise", "nan"], "noise"),
     (["train", "--max-lr", "inf"], "max_lr"),
     (["ablate", "--seeds", "0"], "seeds"),
-    (["ablate", "--workers", "0"], "workers"),
-    (["ablate", "--workers", "-2"], "workers"),
     (["train", "--epsilon", "-5"], "epsilon"),
     (["train", "--base-lr", "-1"], "base_lr"),
     (["kfold", "--max-lr", "-1"], "max_lr"),
@@ -166,10 +165,9 @@ def test_usage_error_exit_code():
     (["train", "--mlp-hidden", "4611686018427387904"], "mlp_hidden"),
 ], ids=["batch-size", "loss", "head", "rho", "d", "heads", "heads-zero", "t", "alpha",
         "gamma", "fd-weight", "cycle-steps", "l-fold", "ablate-mc-cell", "epochs",
-        "max-steps", "channels", "hw", "noise", "clip-len", "mci", "gen-data-seed",
-        "train-seed", "kfold-seed", "ablate-seed", "gradcheck-seed", "noise-nan",
-        "max-lr-inf", "ablate-seeds", "ablate-workers-zero",
-        "ablate-workers-negative", "epsilon-negative", "base-lr-negative",
+        "max-steps", "max-steps-too-large", "channels", "hw", "noise", "clip-len", "mci",
+        "gen-data-seed", "train-seed", "kfold-seed", "ablate-seed", "gradcheck-seed", "noise-nan",
+        "max-lr-inf", "ablate-seeds", "epsilon-negative", "base-lr-negative",
         "max-lr-negative", "mlp-hidden-zero", "mlp-hidden-too-large"])
 def test_bad_config_value_is_one_line_usage_error(argv, key, dataset, tmp_path, capsys):
     """``key``, when given, is the run key the message must name."""
@@ -317,6 +315,21 @@ def test_clips_of_one_batch_may_differ_in_trailing_frames(tmp_path):
         outputs[name] = [report.read_bytes()] + [
             path.read_bytes() for path in sorted(ckpt.rglob("*")) if path.is_file()]
     assert outputs["long"] == outputs["cut"]
+
+
+def test_fold_training_on_one_clip_is_one_line_usage_error(tmp_path, capsys, no_model):
+    # two subjects of one clip each: at l_fold 1 each fold trains on one
+    # clip, which makes no batch, so the run would train no step
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["gen-data", "--out", str(data), "--mci", "1", "--nc", "1",
+                     "--frames-min", "16", "--frames-max", "16", "--hw", "16"]) == cli.EXIT_OK
+    capsys.readouterr()
+    run = ["--hw", "16", "--t", "4", "--h", "8", "--w", "8", "--d", "16", "--heads", "2",
+           "--mlp-hidden", "16", "--l-fold", "1"]
+    assert cli.main(["train", "--data", str(data), "--out", str(out)] + run) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: fold 0 trains on 1 clip(s), fewer than a batch's 2"]
+    assert not out.exists()
 
 
 def test_ablate_checks_the_fit_of_every_t(long_dataset, tmp_path, capsys):
@@ -575,12 +588,17 @@ def test_ablate_grid_shape(dataset, tmp_path):
     assert {r["t"] for r in rows} == {"2", "4", "8"}
 
 
-def test_ablate_workers_write_same_csv(dataset, tmp_path):
+def _cores(monkeypatch, n):
+    """`fork_map` sees ``n`` cores, so it maps over up to ``n`` processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_ablate_workers_write_same_csv(dataset, tmp_path, monkeypatch):
     # cells cross the process pool as RunConfig objects
     outs = [tmp_path / f"grid{n}.csv" for n in (1, 2)]
     for n, out in zip((1, 2), outs):
-        assert cli.main(["ablate", "--data", str(dataset), "--out", str(out),
-                         "--workers", str(n)] + TINY) == 0
+        _cores(monkeypatch, n)
+        assert cli.main(["ablate", "--data", str(dataset), "--out", str(out)] + TINY) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
@@ -599,9 +617,9 @@ def test_ablate_forks_no_more_workers_than_cells(dataset, tmp_path, monkeypatch)
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    _cores(monkeypatch, 100000)
     out = tmp_path / "grid.csv"
-    assert cli.main(["ablate", "--data", str(dataset), "--out", str(out),
-                     "--workers", "100000"] + TINY) == 0
+    assert cli.main(["ablate", "--data", str(dataset), "--out", str(out)] + TINY) == 0
     assert len(forks) == 17   # the caller runs the 18th share itself
     assert len(list(csv.DictReader(open(out)))) == 18
 
@@ -715,10 +733,10 @@ def test_ctrl_c_reaps_every_child_and_exits_130(dataset, tmp_path, capsys, monke
 def test_killed_loader_is_one_line_exit_3(dataset, tmp_path, capsys, monkeypatch):
     caller, real = os.getpid(), TR.augment_clip
 
-    def augment_clip(frames, rng):
+    def augment_clip(frames, params):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(frames, rng)
+        return real(frames, params)
 
     monkeypatch.setattr(TR, "augment_clip", augment_clip)
     out = tmp_path / "run"

@@ -26,25 +26,25 @@ def clip():
 
 
 def test_identity_params_leave_clip_unchanged(clip):
-    out = D.apply_augment(clip, D.AugmentParams())
+    out = D.augment_clip(clip, D.AugmentParams())
     np.testing.assert_array_equal(out, clip)
 
 
 def test_hflip_is_involution(clip):
     p = D.AugmentParams(flip_h=True)
-    np.testing.assert_array_equal(D.apply_augment(D.apply_augment(clip, p), p), clip)
+    np.testing.assert_array_equal(D.augment_clip(D.augment_clip(clip, p), p), clip)
 
 
 def test_vflip_is_involution(clip):
     p = D.AugmentParams(flip_v=True)
-    np.testing.assert_array_equal(D.apply_augment(D.apply_augment(clip, p), p), clip)
+    np.testing.assert_array_equal(D.augment_clip(D.augment_clip(clip, p), p), clip)
 
 
 def test_same_transform_for_all_frames():
     # a clip of identical frames must stay identical across frames
     frame = np.random.default_rng(1).random((16, 16, 3)).astype(np.float32)
     clip = np.stack([frame] * 8)
-    out = D.augment_clip(clip, np.random.default_rng(7))
+    out = D.augment_clip(clip, D.sample_augment_params(np.random.default_rng(7)))
     for k in range(1, 8):
         np.testing.assert_array_equal(out[k], out[0])
 
@@ -52,15 +52,15 @@ def test_same_transform_for_all_frames():
 def test_augment_preserves_shape_dtype_and_range(clip):
     rng = np.random.default_rng(3)
     for _ in range(10):
-        out = D.augment_clip(clip, rng)
+        out = D.augment_clip(clip, D.sample_augment_params(rng))
         assert out.shape == clip.shape
         assert out.dtype == clip.dtype
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_augment_deterministic_per_seed(clip):
-    a = D.augment_clip(clip, np.random.default_rng(42))
-    b = D.augment_clip(clip, np.random.default_rng(42))
+    a = D.augment_clip(clip, D.sample_augment_params(np.random.default_rng(42)))
+    b = D.augment_clip(clip, D.sample_augment_params(np.random.default_rng(42)))
     np.testing.assert_array_equal(a, b)
 
 
@@ -119,7 +119,7 @@ def big_clip():
 
 @pytest.mark.parametrize("angle", [-15.0, -7.3, 0.4, 11.0, 15.0])
 def test_rotation_only_matches_ndimage_rotate(big_clip, angle):
-    out = D.apply_augment(big_clip, D.AugmentParams(angle_deg=angle))
+    out = D.augment_clip(big_clip, D.AugmentParams(angle_deg=angle))
     ref = ndimage.rotate(big_clip, angle, axes=(1, 2), reshape=False, order=1, mode="nearest")
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
 
@@ -127,7 +127,7 @@ def test_rotation_only_matches_ndimage_rotate(big_clip, angle):
 @pytest.mark.parametrize("flip_h,flip_v", [(False, False), (True, False), (True, True)])
 def test_crop_only_matches_crop_then_zoom(big_clip, flip_h, flip_v):
     params = D.AugmentParams(flip_h=flip_h, flip_v=flip_v, crop=True)
-    out = D.apply_augment(big_clip, params)
+    out = D.augment_clip(big_clip, params)
     np.testing.assert_allclose(out, _two_pass_reference(big_clip, params), rtol=0, atol=1e-6)
 
 
@@ -138,7 +138,7 @@ def test_combined_params_match_two_pass_on_smooth_clip():
     rng = np.random.default_rng(4)
     for _ in range(20):
         params = D.sample_augment_params(rng)
-        out = D.apply_augment(clip, params)
+        out = D.augment_clip(clip, params)
         np.testing.assert_allclose(out, _two_pass_reference(clip, params), rtol=0, atol=5e-3,
                                    err_msg=str(params))
 
@@ -148,7 +148,7 @@ def test_constant_clip_stays_constant():
     clip = np.full((4, 12, 10, 3), 0.7, dtype=np.float32)
     rng = np.random.default_rng(6)
     for _ in range(50):
-        out = D.augment_clip(clip, rng)
+        out = D.augment_clip(clip, D.sample_augment_params(rng))
         np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-6)
 
 
@@ -158,17 +158,17 @@ def test_degenerate_extents_match_two_pass(shape):
     # the identity along an axis of extent 1
     clip = np.random.default_rng(8).random(shape).astype(np.float32)
     for params in (D.AugmentParams(crop=True), D.AugmentParams(angle_deg=12.0)):
-        out = D.apply_augment(clip, params)
+        out = D.augment_clip(clip, params)
         assert out.shape == clip.shape
         np.testing.assert_allclose(out, _two_pass_reference(clip, params), rtol=0, atol=1e-6,
                                    err_msg=str(params))
     smooth = _smooth_clip(shape)
     params = D.AugmentParams(flip_h=True, flip_v=True, angle_deg=-12.0, crop=True)
-    np.testing.assert_allclose(D.apply_augment(smooth, params),
+    np.testing.assert_allclose(D.augment_clip(smooth, params),
                                _two_pass_reference(smooth, params), rtol=0, atol=5e-3)
 
 
-# Digests of apply_augment's output for the clips below, from the
+# Digests of augment_clip's output for the clips below, from the
 # implementation that transposed values one by one; moving each pixel's
 # channels as one item must leave every bit as it was.
 AUGMENT_DIGESTS = {
@@ -183,7 +183,7 @@ AUGMENT_DIGESTS = {
 def test_augment_output_pinned_bit_for_bit(dtype, channels):
     clip = np.random.default_rng(5).random((5, 11, 9, channels)).astype(dtype)
     params = D.AugmentParams(flip_h=True, flip_v=False, angle_deg=-9.5, crop=True)
-    out = D.apply_augment(clip, params)
+    out = D.augment_clip(clip, params)
     assert out.dtype == clip.dtype
     assert hashlib.sha256(out.tobytes()).hexdigest() == AUGMENT_DIGESTS[dtype, channels]
 

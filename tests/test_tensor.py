@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import threading
 import weakref
 
 import numpy as np
@@ -477,17 +476,6 @@ def test_no_grad_mode_is_restored_after_the_block():
         with T.no_grad():
             raise KeyError("inside")
     assert T.neg(x)._parents == (x,)
-
-
-def test_no_grad_is_per_thread():
-    x = t64([1.0], requires_grad=True)
-    out = []
-    worker = threading.Thread(target=lambda: out.append(T.neg(x)))
-    with T.no_grad():
-        worker.start()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert out[0].requires_grad and out[0]._parents == (x,)
 
 
 # -- gradcheck ----------------------------------------------------------------------------

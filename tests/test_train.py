@@ -168,21 +168,19 @@ def test_batch_loss_counts_the_batch_after_building_the_loss():
 _ERROR_MODES = ["ignore", "warn", "raise", "call", "print", "log"]
 
 
-def _stamping_loader():
-    """A `_load_ahead` loader whose load writes, in each row it fills, the
+def _stamping_load(k, rows, out):
+    """A `_load_ahead` load function that writes, in each row it fills, the
     job, the loading process and its numpy overflow mode."""
-    def load(k, rows, out):
-        out[rows] = k, os.getpid(), _ERROR_MODES.index(np.geterr()["over"])
-    return load
+    out[rows] = k, os.getpid(), _ERROR_MODES.index(np.geterr()["over"])
 
 
 def _stamps(sizes):
-    """Each job's rows as `_stamping_loader` filled them, read before the
+    """Each job's rows as `_stamping_load` filled them, read before the
     next job is asked for, and whether the arrays handed over were writeable.
     Each is read after a pause, long enough for a loader that wrote a slot
     too early to write over it."""
     stamps, writeable = [], set()
-    for done in TR._load_ahead(_stamping_loader, sizes, (3,), np.float64):
+    for done in TR._load_ahead(_stamping_load, sizes, (3,), np.float64):
         time.sleep(0.02)
         stamps.append([(int(k), int(pid), _ERROR_MODES[int(mode)]) for k, pid, mode in done])
         writeable.add(done.flags.writeable)
@@ -216,7 +214,7 @@ def test_load_ahead_splits_job_0_with_the_caller_and_loads_the_rest_in_one_child
 
 def test_load_ahead_reaps_its_loader_when_closed_early():
     blas = _blas_threads()
-    ring = TR._load_ahead(_stamping_loader, [2] * 6, (3,), np.float64)
+    ring = TR._load_ahead(_stamping_load, [2] * 6, (3,), np.float64)
     next(ring)
     ring.close()
     _no_child_left()
@@ -383,8 +381,8 @@ def test_loader_process_and_blas_threads_end_with_the_fold(truncate, tmp_path, m
 @pytest.mark.parametrize("fork", [True, False])
 @pytest.mark.parametrize("batch_size, augment", [(8, True), (5, True), (5, False)])
 def test_batches_match_a_serial_loop(batch_size, augment, fork, tmp_path, monkeypatch):
-    # the caller's half of batch 0 and the loader's other half draw
-    # augmentations as one serial loop does, at even and odd batch sizes
+    # the caller's half of batch 0 and the loader's other half augment each
+    # clip as one serial loop does, at even and odd batch sizes
     if not fork:
         monkeypatch.delattr(TR.os, "fork")
     cohort = tiny_cohort(tmp_path)
@@ -401,8 +399,8 @@ def test_batches_match_a_serial_loop(batch_size, augment, fork, tmp_path, monkey
         order = shuffle_rng.permutation(len(train_idx))
         for b in range(TR.batches_per_epoch(len(order), batch_size)):
             chunk = [train_idx[i] for i in order[b * batch_size:(b + 1) * batch_size]]
-            clips = [D.augment_clip(cohort.frames(i), augment_rng) if augment
-                     else cohort.frames(i) for i in chunk]
+            clips = [D.augment_clip(cohort.frames(i), D.sample_augment_params(augment_rng))
+                     if augment else cohort.frames(i) for i in chunk]
             expected.append((b == 0, [cohort.records[i].label for i in chunk],
                              model.cubes(clips).data))
     assert len(got) == cfg.max_steps
@@ -479,15 +477,35 @@ def test_a_killed_loader_raises_child_process_error(tmp_path, monkeypatch):
     plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
     caller, real = os.getpid(), TR.augment_clip
 
-    def augment_clip(frames, rng):
+    def augment_clip(frames, params):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(frames, rng)
+        return real(frames, params)
 
     monkeypatch.setattr(TR, "augment_clip", augment_clip)
     # an OSError, so the CLI prints it as one line and exits 3
     with pytest.raises(ChildProcessError, match=r"^loader \d+ died without a result"):
         TR.train_fold(cohort, plan, 0, tiny_model_cfg(), quick_train_cfg(max_steps=4))
+    _no_child_left()
+
+
+def test_every_augmentation_is_drawn_in_the_caller(tmp_path, monkeypatch):
+    # the loader augments with parameters the caller drew for its clips, and
+    # nothing is drawn past the last step: 3 steps of 4 clips, 12 draws
+    cohort = tiny_cohort(tmp_path)
+    plan = D.plan_folds(cohort.subject_ids(), 2, seed=3)
+    caller, real, draws = os.getpid(), TR.sample_augment_params, []
+
+    def sample_augment_params(rng):
+        if os.getpid() != caller:
+            raise AssertionError(f"augmentation drawn in process {os.getpid()}")
+        draws.append(1)
+        return real(rng)
+
+    monkeypatch.setattr(TR, "sample_augment_params", sample_augment_params)
+    result = TR.train_fold(cohort, plan, 0, tiny_model_cfg(),
+                           quick_train_cfg(batch_size=4, max_steps=3))
+    assert len(result.history) == 3 and len(draws) == 12
     _no_child_left()
 
 
@@ -636,7 +654,7 @@ def test_evaluation_matches_a_serial_loop(tmp_path):
 
 
 def _cores(monkeypatch, n):
-    """Evaluation sees ``n`` cores, so it scores in up to ``n`` processes."""
+    """`fork_map` sees ``n`` cores, so it maps over up to ``n`` processes."""
     monkeypatch.setattr(TR.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -781,11 +799,12 @@ def test_truncated_clip_in_any_share_gives_the_serial_loops_error(truncated, fai
 # -- worker processes ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_fork_map_returns_results_in_job_order(workers):
-    results = TR.fork_map(lambda job: (job * job, os.getpid()), range(7), workers)
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+def test_fork_map_returns_results_in_job_order(cores, monkeypatch):
+    _cores(monkeypatch, cores)
+    results = TR.fork_map(lambda job: (job * job, os.getpid()), range(7))
     assert [r for r, _ in results] == [j * j for j in range(7)]
-    n = min(workers, 7)
+    n = min(cores, 7)
     pids = [pid for _, pid in results]
     assert len(set(pids)) == n
     # shared by stride, the caller running share 0
@@ -795,19 +814,22 @@ def test_fork_map_returns_results_in_job_order(workers):
 
 
 @pytest.mark.parametrize("failing", [[0], [1], [6], [3, 6], [4, 1], [3, 2], [4, 2]])
-def test_fork_map_raises_the_lowest_indexed_jobs_error(failing):
+def test_fork_map_raises_the_lowest_indexed_jobs_error(failing, monkeypatch):
     def fn(job):
         if job in failing:
             raise ValueError(f"job {job}")
         return job
 
-    for workers in (1, 3):   # shares [0, 3, 6], [1, 4] and [2, 5] at 3
+    for cores in (1, 3):   # shares [0, 3, 6], [1, 4] and [2, 5] at 3
+        _cores(monkeypatch, cores)
         with pytest.raises(ValueError, match=rf"^job {min(failing)}$"):
-            TR.fork_map(fn, range(7), workers)
+            TR.fork_map(fn, range(7))
     _no_child_left()
 
 
-def test_fork_map_child_killed_without_a_result_raises_child_process_error():
+def test_fork_map_child_killed_without_a_result_raises_child_process_error(monkeypatch):
+    _cores(monkeypatch, 2)
+
     def fn(job):
         if job == 1:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -815,11 +837,13 @@ def test_fork_map_child_killed_without_a_result_raises_child_process_error():
 
     # an OSError, so the CLI prints it as one line and exits 3
     with pytest.raises(ChildProcessError, match="died without a result"):
-        TR.fork_map(fn, range(4), 2)
+        TR.fork_map(fn, range(4))
     _no_child_left()
 
 
-def test_fork_map_reaps_its_children_when_interrupted():
+def test_fork_map_reaps_its_children_when_interrupted(monkeypatch):
+    _cores(monkeypatch, 2)
+
     def fn(job):
         if job == 0:
             raise KeyboardInterrupt
@@ -827,7 +851,7 @@ def test_fork_map_reaps_its_children_when_interrupted():
         return job
 
     with pytest.raises(KeyboardInterrupt):
-        TR.fork_map(fn, range(2), 2)
+        TR.fork_map(fn, range(2))
     _no_child_left()
 
 
@@ -841,32 +865,44 @@ def test_fork_map_forks_one_child_per_job_at_most(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(TR.os, "fork", counting_fork)
-    assert TR.fork_map(lambda job: job, range(3), 100000) == [0, 1, 2]
+    _cores(monkeypatch, 100000)
+    assert TR.fork_map(lambda job: job, range(3)) == [0, 1, 2]
     assert len(forks) == 2
     _no_child_left()
 
 
-def test_fork_map_runs_blas_at_one_thread_and_restores_it():
+def test_fork_map_runs_blas_at_one_thread_and_restores_it(monkeypatch):
     blas = _blas_threads()
     if blas is None:
         pytest.skip("numpy does not bundle OpenBLAS")
-    assert TR.fork_map(lambda job: _blas_threads(), range(4), 2) == [1, 1, 1, 1]
+    _cores(monkeypatch, 2)
+    assert TR.fork_map(lambda job: _blas_threads(), range(4)) == [1, 1, 1, 1]
     assert _blas_threads() == blas
 
 
-def test_fork_map_jobs_run_in_the_callers_numpy_error_state():
+def test_fork_map_jobs_run_in_the_callers_numpy_error_state(monkeypatch):
+    _cores(monkeypatch, 2)
     with np.errstate(over="raise"):
-        assert TR.fork_map(lambda job: np.geterr()["over"], range(2), 2) == ["raise"] * 2
+        assert TR.fork_map(lambda job: np.geterr()["over"], range(2)) == ["raise"] * 2
 
 
 def test_fork_map_runs_serially_where_there_is_no_fork(monkeypatch):
     monkeypatch.delattr(TR.os, "fork")
-    assert TR.fork_map(lambda job: os.getpid(), range(3), 3) == [os.getpid()] * 3
+    _cores(monkeypatch, 3)
+    assert TR.fork_map(lambda job: os.getpid(), range(3)) == [os.getpid()] * 3
 
 
-def test_maps_nest_serially_in_every_process():
-    inner = TR.fork_map(lambda job: TR.fork_map(lambda k: os.getpid(), range(2), 2),
-                        range(2), 2)
+@pytest.mark.parametrize("cpu_count, n", [(3, 3), (None, 1)])
+def test_fork_map_counts_cores_by_cpu_count_without_affinity(cpu_count, n, monkeypatch):
+    monkeypatch.delattr(TR.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(TR.os, "cpu_count", lambda: cpu_count)
+    assert len(set(TR.fork_map(lambda job: os.getpid(), range(7)))) == n
+    _no_child_left()
+
+
+def test_maps_nest_serially_in_every_process(monkeypatch):
+    _cores(monkeypatch, 2)
+    inner = TR.fork_map(lambda job: TR.fork_map(lambda k: os.getpid(), range(2)), range(2))
     assert inner[0] == [os.getpid()] * 2
     assert inner[1][0] == inner[1][1] != os.getpid()
     _no_child_left()

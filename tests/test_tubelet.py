@@ -105,12 +105,13 @@ def test_partition_from_generator_equals_list_and_array():
     cfg = TB.TubeletConfig(t=4, h=4, w=4)
     clips = _clips(3)
     from_list = TB.tubelet_partition(clips, cfg)
-    from_generator = TB.tubelet_partition((c for c in clips), cfg, batch=3)
+    from_generator = TB.tubelet_partition((c for c in clips), cfg,
+                                          out=np.empty((3, 8, 192), np.float32))
     from_array = TB.tubelet_partition(np.stack(clips), cfg)
     for other in (from_generator, from_array):
         assert other.dtype == from_list.dtype == np.float32
         np.testing.assert_array_equal(other.data, from_list.data)
-    as64 = TB.tubelet_partition((c for c in clips), cfg, np.float64, batch=3)
+    as64 = TB.tubelet_partition(clips, cfg, np.float64)
     np.testing.assert_array_equal(as64.data, from_list.data.astype(np.float64))
 
 
@@ -141,7 +142,7 @@ def test_partition_takes_one_clip_at_a_time():
             yield clip
             del clip
 
-    TB.tubelet_partition(reading(), TB.TubeletConfig(t=4, h=4, w=4), batch=4)
+    TB.tubelet_partition(reading(), TB.TubeletConfig(t=4, h=4, w=4), out=np.empty((4, 8, 192)))
     assert len(refs) == 4
 
 
@@ -150,7 +151,8 @@ def test_partition_rejects_mixed_shapes(as_generator):
     clips = _clips(2) + _clips(1, shape=(8, 8, 4, 3))
     source = (c for c in clips) if as_generator else clips
     with pytest.raises(T.ShapeError, match=r"clip 2 has shape \(8, 8, 4, 3\)"):
-        TB.tubelet_partition(source, TB.TubeletConfig(t=4, h=4, w=4), batch=3)
+        TB.tubelet_partition(source, TB.TubeletConfig(t=4, h=4, w=4),
+                             out=np.empty((3, 8, 192), np.float32))
 
 
 def test_partition_cuts_each_clip_to_its_cubes():
@@ -165,7 +167,7 @@ def test_partition_cuts_each_clip_to_its_cubes():
 def test_partition_rejects_a_clip_count_other_than_the_batch(n, batch):
     with pytest.raises(T.ShapeError):
         TB.tubelet_partition((c for c in _clips(n)), TB.TubeletConfig(t=4, h=4, w=4),
-                             batch=batch)
+                             out=np.empty((batch, 8, 192), np.float32))
 
 
 def _embed_setup(dtype=np.float64, requires_grad=False):

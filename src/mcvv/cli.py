@@ -4,9 +4,9 @@ Subcommands: gen-data, train, kfold, eval, gradcheck, ablate. Every run
 config key is a flag; a --config file supplies the base values and flags
 override it. Exit codes: 0 success, 1 usage error, 2 verification failure
 (a failed gradient check, or a run whose values went non-finite), 3 I/O
-error, 130 interrupted (Ctrl-C), once every child process is reaped. The
-checks live with the config, data, checkpoint and tensor code; `main` only
-maps their errors to exit codes.
+error or out of memory, 130 interrupted (Ctrl-C), once every child process
+is reaped. The checks live with the config, data, checkpoint and tensor
+code; `main` only maps their errors to exit codes.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _output_dir(path: Path):
 
 def cmd_gen_data(args) -> int:
     # only the cohort keys matter here: data may be made for any model
-    cfg = _resolve_config(args, check=lambda c: c.cohort_spec().validate())
+    cfg = _resolve_config(args, check=RunConfig.cohort_spec)
     manifest = generate_synthetic_cohort(cfg.cohort_spec(), args.out)
     print(manifest)
     return EXIT_OK
@@ -277,6 +277,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, TensorFileError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:   # as a full disk, the machine cannot hold the run
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except T.NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

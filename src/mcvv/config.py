@@ -104,7 +104,7 @@ class RunConfig:
         for key in ("base_lr", "max_lr", "epsilon"):
             if getattr(self, key) < 0.0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
-        self.cohort_spec().validate()
+        self.cohort_spec()
         self.model_config()
         self.loss_params()
 

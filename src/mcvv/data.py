@@ -246,9 +246,10 @@ def read_tensor_file(path: Path | str) -> np.ndarray:
 # -- synthetic cohorts ------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohortSpec:
-    """Cohort generation settings. Each field is the run key of the same
+    """Cohort generation settings, checked as they are built: a value no
+    cohort can use raises ValueError. Each field is the run key of the same
     name (`config.RunConfig`), so an error names the key a user sets."""
 
     mci: int = 20              # MCI (class 1) subjects
@@ -263,7 +264,7 @@ class CohortSpec:
     noise: float = 0.05        # pixel noise sigma
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("mci", "nc", "clip_len", "hw", "channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -281,6 +282,9 @@ class CohortSpec:
             raise ValueError(f"frames_max must be < {INTP_MAX}, got {self.frames_max}")
         if 8 * self.clip_len * self.hw ** 2 * self.channels > INTP_MAX:   # drawn as float64
             raise ValueError("clip_len, hw and channels make a clip too large for numpy")
+
+
+MANIFEST_COLUMNS = ("subject_id", "clip_path", "label", "clip_index")
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,6 @@ def generate_synthetic_cohort(spec: CohortSpec, out_dir: Path | str) -> Path:
     leaves the old cohort whole, or no manifest when it fails mid-swap: never
     a manifest over clips it did not describe.
     """
-    spec.validate()
     out_dir = Path(out_dir)
     clip_dir = out_dir / "clips"
     clip_dir.mkdir(parents=True, exist_ok=True)
@@ -374,13 +377,10 @@ def _write_cohort(spec: CohortSpec, clip_dir: Path) -> str:
 
     text = io.StringIO()
     writer = csv.writer(text)
-    writer.writerow(["subject_id", "clip_path", "label", "clip_index"])
+    writer.writerow(MANIFEST_COLUMNS)
     for r in records:
         writer.writerow([r.subject_id, r.clip_path, LABEL_NAMES[r.label], r.clip_index])
     return text.getvalue()
-
-
-MANIFEST_COLUMNS = ("subject_id", "clip_path", "label", "clip_index")
 
 
 def read_csv_rows(path: Path | str, columns: tuple[str, ...]) -> list[tuple[int, dict]]:
@@ -409,43 +409,14 @@ def read_csv_rows(path: Path | str, columns: tuple[str, ...]) -> list[tuple[int,
     return rows
 
 
-def read_manifest(manifest_path: Path | str) -> list[ClipRecord]:
-    """The manifest's rows, once each has a known label, an integer clip
-    index and a clip path without a NUL byte, each subject has one label, and
-    no two rows name one clip file; otherwise DataError naming the manifest,
-    the line(s) and the value."""
-    records = []
-    subjects: dict[str, tuple[int, str]] = {}   # subject id -> its first line and label
-    clips: dict[str, int] = {}                  # normalised clip path -> its line
-    for line, row in read_csv_rows(manifest_path, MANIFEST_COLUMNS):
-        at = f"{manifest_path}, line {line}"
-        subject, label = row["subject_id"], row["label"]
-        if label not in LABEL_IDS:
-            raise DataError(f"{at}: unknown label {label!r}, expected one of {sorted(LABEL_IDS)}")
-        try:
-            clip_index = int(row["clip_index"])
-        except ValueError:
-            raise DataError(f"{at}: clip_index {row['clip_index']!r} is not an integer") from None
-        if "\0" in row["clip_path"]:   # no file name holds one
-            raise DataError(f"{at}: clip_path {row['clip_path']!r} holds a NUL byte")
-        first_line, first_label = subjects.setdefault(subject, (line, label))
-        if label != first_label:
-            raise DataError(f"{at}: subject {subject!r} is labelled {label}, "
-                            f"but {first_label} on line {first_line}")
-        clip_line = clips.setdefault(os.path.normpath(row["clip_path"]), line)
-        if clip_line != line:
-            raise DataError(f"{manifest_path}, lines {clip_line} and {line}: "
-                            f"both name clip {row['clip_path']!r}")
-        records.append(ClipRecord(subject, row["clip_path"], LABEL_IDS[label], clip_index))
-    return records
-
-
 class Cohort:
-    """The clips a manifest lists, checked as a whole by `read_manifest`,
-    plus a subject -> clips index built once. ``manifest_path`` may name a
-    directory, which stands for its ``manifest.csv``. No clip file is read
-    here: `check_fits` reads every clip's header, and `frames` reads a clip
-    from disk on every call, so each caller gets its own array."""
+    """The clips a manifest lists and a subject -> clips index, built in one
+    pass once each row has a known label, an integer clip index and a clip
+    path without a NUL byte, each subject one label, and no two rows name one
+    clip file; else DataError naming the manifest, line(s) and value.
+    ``manifest_path`` may name a directory, which stands for its
+    ``manifest.csv``. No clip file is read here: `check_fits` reads every
+    clip's header, and `frames` reads a clip from disk on every call."""
 
     def __init__(self, manifest_path: Path | str):
         path = Path(manifest_path)
@@ -453,15 +424,37 @@ class Cohort:
         self.root = self.manifest_path.parent
         if not self.manifest_path.is_file():
             raise DataError(f"no manifest at {self.manifest_path}")
-        self.records = read_manifest(self.manifest_path)
-        if not self.records:
-            raise DataError(f"{self.manifest_path}: no clips")
+        self.records: list[ClipRecord] = []
         # Subjects in first-appearance order, each with its clips in record order.
         self._clips_by_subject: dict[str, list[int]] = {}
-        self._labels: dict[str, int] = {}
-        for i, r in enumerate(self.records):
-            self._clips_by_subject.setdefault(r.subject_id, []).append(i)
-            self._labels[r.subject_id] = r.label
+        firsts: dict[str, tuple[int, str]] = {}   # subject id -> its first line and label
+        clips: dict[str, int] = {}                # normalised clip path -> its line
+        for line, row in read_csv_rows(self.manifest_path, MANIFEST_COLUMNS):
+            at = f"{self.manifest_path}, line {line}"
+            subject, label = row["subject_id"], row["label"]
+            if label not in LABEL_IDS:
+                raise DataError(f"{at}: unknown label {label!r}, "
+                                f"expected one of {sorted(LABEL_IDS)}")
+            try:
+                clip_index = int(row["clip_index"])
+            except ValueError:
+                raise DataError(f"{at}: clip_index {row['clip_index']!r} "
+                                f"is not an integer") from None
+            if "\0" in row["clip_path"]:   # no file name holds one
+                raise DataError(f"{at}: clip_path {row['clip_path']!r} holds a NUL byte")
+            first_line, first_label = firsts.setdefault(subject, (line, label))
+            if label != first_label:
+                raise DataError(f"{at}: subject {subject!r} is labelled {label}, "
+                                f"but {first_label} on line {first_line}")
+            clip_line = clips.setdefault(os.path.normpath(row["clip_path"]), line)
+            if clip_line != line:
+                raise DataError(f"{self.manifest_path}, lines {clip_line} and {line}: "
+                                f"both name clip {row['clip_path']!r}")
+            self._clips_by_subject.setdefault(subject, []).append(len(self.records))
+            self.records.append(ClipRecord(subject, row["clip_path"], LABEL_IDS[label],
+                                           clip_index))
+        if not self.records:
+            raise DataError(f"{self.manifest_path}: no clips")
 
     def check_fits(self, *model_cfgs: ModelConfig, l_fold: int | None = None) -> None:
         """Raise DataError unless a run of each of ``model_cfgs`` can use
@@ -498,7 +491,7 @@ class Cohort:
         return list(self._clips_by_subject)
 
     def subject_label(self, subject_id: str) -> int:
-        return self._labels[subject_id]
+        return self.records[self._clips_by_subject[subject_id][0]].label
 
     def clips_of(self, subject_id: str) -> list[int]:
         return list(self._clips_by_subject.get(subject_id, ()))

@@ -28,19 +28,18 @@ class MetricsReport:
         return asdict(self)
 
 
-def aggregate_subject(clip_probs) -> tuple[float, int]:
-    """Mean clip probability; class 1 iff the mean reaches 0.5."""
+def aggregate_subject(clip_probs) -> float:
+    """The subject's score: its mean clip probability."""
     probs = np.asarray(clip_probs, dtype=np.float64)
     if probs.size == 0:
         raise ValueError("subject has no clips")
-    score = float(probs.mean())
-    return score, int(score >= 0.5)
+    return float(probs.mean())
 
 
-def confusion_counts(scores, labels, threshold: float = 0.5) -> tuple[int, int, int, int]:
+def confusion_counts(scores, labels) -> tuple[int, int, int, int]:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    preds = scores >= threshold
+    preds = scores >= 0.5
     pos = labels == 1
     tp = int(np.sum(preds & pos))
     fp = int(np.sum(preds & ~pos))

@@ -13,7 +13,9 @@ which reads, augments and partitions each batch into one slot of a two-slot
 ring of shared memory while the caller trains on the batch before
 (`_load_ahead`). The caller partitions the first half of the first batch
 itself, instead of waiting for it. Evaluation has no loader: one forked
-process per core scores its share of the subjects (`fork_map`).
+process per core scores its share of the subjects (`fork_map`), as
+`run_kfold` trains its folds. `_Child` makes every fork, each after
+`_keep_freed_heap`, so a process that forks and its child keep freed heap.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ def train_step(model: Model, moments: AdamMoments, cubes: T.Tensor,
 
 @dataclass
 class FoldResult:
-    fold_id: int
     report: M.MetricsReport
     model: Model
     history: list[float]
@@ -134,7 +135,6 @@ class FoldResult:
 
 @dataclass
 class KFoldResult:
-    plan: FoldPlan
     folds: list[FoldResult]
     pooled: M.MetricsReport
 
@@ -152,7 +152,7 @@ def evaluate_subjects(model: Model, cohort: Cohort,
             rows = [model.embed(model.cubes([cohort.frames(i)])) for i in idxs]
         probs = model.clip_probability(T.concat(rows, axis=0))
         correct = int(np.sum((probs >= 0.5) == [cohort.records[i].label for i in idxs]))
-        return M.aggregate_subject(probs)[0], cohort.subject_label(subject), correct, len(idxs)
+        return M.aggregate_subject(probs), cohort.subject_label(subject), correct, len(idxs)
 
     scored = fork_map(score, subjects)
     scores, labels = ({s: r[i] for s, r in zip(subjects, scored)} for i in (0, 1))
@@ -205,7 +205,7 @@ def train_fold(cohort: Cohort, plan: FoldPlan, fold_id: int,
 
     scores, labels_by_subject, correct, total = evaluate_subjects(model, cohort, eval_subjects)
     report = subject_report(scores, labels_by_subject, correct, total, fold=fold_id)
-    return FoldResult(fold_id=fold_id, report=report, model=model, history=history,
+    return FoldResult(report=report, model=model, history=history,
                       subject_scores=scores, subject_labels=labels_by_subject,
                       clip_correct=correct, clip_total=total)
 
@@ -274,7 +274,6 @@ def _load_ahead(load: Callable, sizes: Sequence[int],
     """
     if not sizes:
         return
-    _keep_freed_heap()
     count = 2 * max(sizes) * math.prod(row_shape)   # Python ints, so it cannot wrap
     ring = np.frombuffer(mmap.mmap(-1, count * np.dtype(dtype).itemsize), dtype, count)
     ring = ring.reshape(2, max(sizes), *row_shape)
@@ -320,12 +319,13 @@ def _load_ahead(load: Callable, sizes: Sequence[int],
 
 def _keep_freed_heap():
     """Have glibc's malloc serve blocks up to 32 MB from the heap and keep up
-    to 64 MB of freed heap mapped, in this process and the ones it forks. Its
-    defaults start at 128 KB and rise only as large blocks are freed, so a
-    fresh process that augments clips hands each clip's temporaries (about
-    7 MB at 64x64) back to the kernel and faults them in again: 27k minor
-    faults per default batch of 16 clips, which doubled its load time. A
-    no-op where the C library has no mallopt."""
+    to 64 MB of freed heap mapped, in this process and the ones it forks;
+    `_Child` calls it before each fork. Its defaults start at 128 KB and rise
+    only as large blocks are freed, so a fresh process that augments or
+    scores clips hands each clip's temporaries (about 7 MB at 64x64) back to
+    the kernel and faults them in again: 27k minor faults per default batch
+    of 16 clips, which doubled its load time, and 20.4k against 8.8k in an
+    eval-64 `mcvv eval`. A no-op where the C library has no mallopt."""
     import ctypes   # here, as in `_openblas`
 
     try:
@@ -373,11 +373,13 @@ def _blas_threads(count: Callable[[int], int]):
 
 class _Child:
     """A forked process that runs ``run(pipe)``, ``pipe`` being the write end
-    of a pipe whose read end the caller keeps, and leaves by os._exit alone."""
+    of a pipe whose read end the caller keeps, and leaves by os._exit alone.
+    The package's one way to fork; it calls `_keep_freed_heap` first."""
 
     def __init__(self, name: str, run: Callable):
         self.name, self.status = name, None
         read, write = os.pipe()
+        _keep_freed_heap()
         self.pid = os.fork()
         if self.pid == 0:   # in the child
             try:
@@ -452,17 +454,19 @@ def fork_map(fn: Callable, jobs: Sequence) -> list:
 
 
 def run_kfold(cohort: Cohort, model_cfg: ModelConfig, cfg: RunConfig) -> KFoldResult:
-    """Train every fold; pool each fold's held-out subject predictions."""
+    """Train every fold, one process per core (`fork_map`); pool each fold's
+    held-out subject predictions. Inside a fold's process its evaluation runs
+    serially, and its training still forks its loader."""
     plan = plan_folds(cohort.subject_ids(), cfg.l_fold, seed=cfg.seed)
-    folds = [train_fold(cohort, plan, fold_id, model_cfg, cfg)
-             for fold_id in range(plan.k)]
+    folds = fork_map(lambda fold_id: train_fold(cohort, plan, fold_id, model_cfg, cfg),
+                     range(plan.k))
 
     # folds partition the subjects, so merging their dicts loses no subject
     pooled = subject_report({s: v for fr in folds for s, v in fr.subject_scores.items()},
                             {s: v for fr in folds for s, v in fr.subject_labels.items()},
                             sum(fr.clip_correct for fr in folds),
                             sum(fr.clip_total for fr in folds))
-    return KFoldResult(plan=plan, folds=folds, pooled=pooled)
+    return KFoldResult(folds=folds, pooled=pooled)
 
 
 def _substream(seed: int, fold_id: int, purpose: int) -> np.random.SeedSequence:

@@ -602,6 +602,16 @@ def test_ablate_workers_write_same_csv(dataset, tmp_path, monkeypatch):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_kfold_writes_same_report_at_any_core_count(dataset, tmp_path, monkeypatch):
+    # folds cross the process pool as FoldResults, models included
+    outs = [tmp_path / f"kfold{n}.json" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        _cores(monkeypatch, n)
+        argv = ["kfold", "--data", str(dataset), "--out", str(out), "--seed", "3"] + TINY
+        assert cli.main(argv) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_ablate_forks_no_more_workers_than_cells(dataset, tmp_path, monkeypatch):
     # no cell trains, and the fork stub refuses, rather than starts, a
     # worker past the 18 cells
@@ -745,6 +755,27 @@ def test_killed_loader_is_one_line_exit_3(dataset, tmp_path, capsys, monkeypatch
     assert len(lines) == 1, lines
     assert re.fullmatch(r"i/o error: loader \d+ died without a result \(wait status 9\)",
                         lines[0]), lines[0]
+    _no_child_left()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["caller", "evaluation-worker"])
+def test_out_of_memory_is_one_line_exit_3(where, dataset, tmp_path, capsys, monkeypatch):
+    caller, text = os.getpid(), "Unable to allocate 6.94 EiB for an array"
+
+    def allocate(*args):
+        raise MemoryError(text)
+
+    if where == "caller":
+        monkeypatch.setattr(TR, "train_fold", allocate)
+    else:
+        real = TR.M.aggregate_subject
+        monkeypatch.setattr(TR.M, "aggregate_subject",
+                            lambda probs: real(probs) if os.getpid() == caller else allocate())
+        _cores(monkeypatch, 2)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(dataset), "--out", str(out)] + TINY) == cli.EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [f"out of memory: {text}"]
     _no_child_left()
     assert not out.exists()
 

@@ -32,11 +32,12 @@ def naive_recount(scores, labels):
 
 
 def test_aggregate_subject_rules():
-    assert M.aggregate_subject([0.9, 0.9, 0.9]) == (pytest.approx(0.9), 1)
-    score, label = M.aggregate_subject([0.4, 0.6])
-    assert score == 0.5 and label == 1          # boundary inclusive
-    score, label = M.aggregate_subject([0.3] * 10 + [0.9] * 2)
-    assert score == pytest.approx(0.4) and label == 0
+    assert M.aggregate_subject([0.9, 0.9, 0.9]) == pytest.approx(0.9)
+    assert M.aggregate_subject([0.4, 0.6]) == 0.5
+    assert M.aggregate_subject([0.3] * 10 + [0.9] * 2) == pytest.approx(0.4)
+    # the boundary is inclusive: a subject scored exactly 0.5 is called MCI
+    r = M.compute_metrics([0.5, M.aggregate_subject([0.3] * 10 + [0.9] * 2)], [1, 0])
+    assert (r.accuracy, r.sensitivity, r.specificity) == (1.0, 1.0, 1.0)
 
 
 def test_aggregate_empty_rejected():
